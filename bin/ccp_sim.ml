@@ -38,9 +38,11 @@ let algorithm_names = String.concat ", " (List.map fst algorithms)
 
 (* --- shared options --- *)
 
-let rate_mbps =
+let rate_arg default =
   let doc = "Bottleneck rate in Mbit/s." in
-  Arg.(value & opt float 100.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
+  Arg.(value & opt float default & info [ "rate" ] ~docv:"MBPS" ~doc)
+
+let rate_mbps = rate_arg 100.0
 
 let rtt_ms =
   let doc = "Base round-trip time in milliseconds." in
@@ -317,6 +319,68 @@ let print_result (r : Experiment.result) =
         s.Experiment.checkpoints_taken s.Experiment.warm_restores
   | None -> ())
 
+(* --- output files and list arguments, shared by every subcommand --- *)
+
+let die fmt = Printf.ksprintf (fun msg -> Printf.eprintf "ccp_sim: %s\n%!" msg; exit 1) fmt
+
+(* Output paths are checked before a run starts, so a long matrix is
+   never lost to a typo in a directory name at the very end. *)
+let check_outputs outputs =
+  List.iter
+    (fun (flag, path) ->
+      Option.iter
+        (fun path ->
+          match Ccp_obs.Schema.writable path with
+          | Ok () -> ()
+          | Error e -> die "--%s: %s" flag e)
+        path)
+    outputs
+
+(* Every JSON document the CLI writes (chrome trace, scorecards,
+   timeline) is written, re-read, and re-validated before we claim
+   success; [what] names the validator's count in the summary line. *)
+let write_json ~flag ~what ~validate path doc =
+  match Ccp_obs.Schema.write ~path ~validate doc with
+  | Ok n -> Printf.printf "%s: wrote %s (%d %s)\n" flag path n what
+  | Error e -> die "--%s: %s" flag e
+
+let merge_bench_json path rows =
+  Option.iter
+    (fun path ->
+      match Ccp_obs.Metrics.merge_rows_file ~path rows with
+      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
+      | Error e -> die "--bench-json: %s" e)
+    path
+
+let int_list ~flag ~min ~default spec =
+  match Scenarios.int_list ~flag ~min ~default spec with Ok l -> l | Error e -> die "%s" e
+
+let split spec =
+  List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' spec))
+
+(* BENCH rows for a scorecard: cells grouped by row-name prefix, each
+   field averaged over the group's cells that have a value (a field with
+   none in a group gets no row). *)
+let grouped_rows ~group fields cells =
+  List.concat_map
+    (fun prefix ->
+      let members = List.filter (fun c -> group c = prefix) cells in
+      List.filter_map
+        (fun (name, unit_, field) ->
+          match List.filter_map field members with
+          | [] -> None
+          | values ->
+            let mean = List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values) in
+            Some { Ccp_obs.Metrics.name = prefix ^ "." ^ name; value = mean; unit_ })
+        fields)
+    (List.sort_uniq compare (List.map group cells))
+
+(* The first cell's ccp-timeline/v1 document. *)
+let timeline_of = function
+  | Some obs -> (
+    match Ccp_obs.Timeline.of_obs obs with Ok doc -> doc | Error e -> die "--timeline: %s" e)
+  | None -> die "--timeline: no telemetry bundle on the first cell"
+
 (* Flight-recorder sink for [run --trace]: write, then re-read and
    validate what landed on disk — the trace is only useful to downstream
    tooling if every line parses. *)
@@ -354,16 +418,14 @@ let write_trace ~path (obs : Ccp_obs.Obs.t) =
     !lines
     (Ccp_obs.Recorder.length recorder)
     (Ccp_obs.Recorder.dropped recorder);
-  if !bad > 0 then begin
-    Printf.eprintf "ccp_sim: trace validation failed: %d malformed line(s) in %s\n%!" !bad path;
-    exit 1
-  end
+  if !bad > 0 then die "trace validation failed: %d malformed line(s) in %s" !bad path
 
 let run_cmd =
   let action rate_mbps rtt_ms duration_s buffer_bdp seed flows ecn_bdp trace ipc_drop ipc_dup
       ipc_spike ipc_reorder agent_crash fallback_rtts guard_min_cwnd guard_max_rate
       guard_report_us guard_quarantine shed_queue shed_watermark shed_budget
       shed_interval_ms checkpoint_ms =
+    check_outputs [ ("trace", trace) ];
     let config =
       build_config ~rate_mbps ~rtt_ms ~duration_s ~buffer_bdp ~seed ~flows ~ecn_bdp
     in
@@ -530,6 +592,24 @@ let hostile_cmd =
           envelope, and quarantine.")
     Term.(const action $ seed $ threshold)
 
+(* --- options shared by the scenario-matrix subcommands --- *)
+
+let cell_duration default =
+  let doc = "Simulated duration per cell in seconds." in
+  Arg.(value & opt float default & info [ "duration" ] ~docv:"S" ~doc)
+
+let seeds_arg doc = Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
+let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+let scorecard_arg =
+  file_arg "scorecard"
+    "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; a \
+     malformed scorecard makes the command exit non-zero."
+
+let bench_json_arg rows =
+  file_arg "bench-json"
+    ("Merge " ^ rows ^ " into the BENCH.json-schema file at $(docv) (created when absent).")
+
 (* --- latency: Figure 2 measured end to end (docs/observability.md) --- *)
 
 let slug label =
@@ -543,31 +623,6 @@ let slug label =
       label
   in
   String.concat "_" (List.filter (fun s -> s <> "") (String.split_on_char '_' mapped))
-
-let write_chrome ~path (s : Scenarios.Reaction.series) =
-  let obs = Option.get s.Scenarios.Reaction.result.Experiment.config.Experiment.obs in
-  let recorder = Ccp_obs.Obs.recorder_exn obs in
-  let json = Ccp_obs.Tracer.chrome_of_recorder recorder in
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* Re-read and validate: the file is only useful if Perfetto loads it. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: chrome trace %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Ccp_obs.Tracer.validate_chrome parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: chrome trace %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n ->
-      Printf.printf "trace: wrote %s (%d trace events, series %S)\n" path n
-        s.Scenarios.Reaction.label)
 
 (* Clean series sanity: the measured reaction p99 must sit inside
    [0.4, 1.1] x the calibrated model's RTT p99 — below it because a
@@ -621,43 +676,32 @@ let reaction_rows series =
 
 let latency_cmd =
   let trace =
-    let doc =
+    file_arg "trace"
       "Write the first series' finalized spans as Chrome trace_event JSON to $(docv) \
        (load in chrome://tracing or Perfetto). The file is re-read and validated; a \
        malformed trace makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let bench_json =
-    let doc =
-      "Merge $(b,reaction.*) percentile and span-count rows into the BENCH.json-schema \
-       file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
-  in
+  let bench_json = bench_json_arg "$(b,reaction.*) percentile and span-count rows" in
   let action duration_s seed trace bench_json =
+    check_outputs [ ("trace", trace); ("bench-json", bench_json) ];
     let series =
       Scenarios.Reaction.run ~duration:(Time_ns.of_float_sec duration_s) ~seed ()
     in
     print_string (Report.render_reaction series);
     print_newline ();
     let failures = check_reaction_consistency series in
-    (match trace with
-    | Some path -> write_chrome ~path (List.hd series)
-    | None -> ());
-    (match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (reaction_rows series) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ());
-    if failures > 0 then begin
-      Printf.eprintf "ccp_sim: %d series measured p99 outside [0.4, 1.1] x model p99\n%!"
-        failures;
-      exit 1
-    end
+    Option.iter
+      (fun path ->
+        let s = List.hd series in
+        let obs = Option.get s.Scenarios.Reaction.result.Experiment.config.Experiment.obs in
+        write_json ~flag:"trace"
+          ~what:(Printf.sprintf "trace events, series %S" s.Scenarios.Reaction.label)
+          ~validate:Ccp_obs.Tracer.validate_chrome path
+          (Ccp_obs.Tracer.chrome_of_recorder (Ccp_obs.Obs.recorder_exn obs)))
+      trace;
+    merge_bench_json bench_json (reaction_rows series);
+    if failures > 0 then
+      die "%d series measured p99 outside [0.4, 1.1] x model p99" failures
   in
   Cmd.v
     (Cmd.info "latency"
@@ -668,67 +712,18 @@ let latency_cmd =
 
 (* --- robustness: measurement-noise matrix (docs/robustness.md) --- *)
 
-let write_scorecard ~path (sc : Scenarios.Robustness.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Robustness.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  (* Re-read and validate what landed on disk, like --trace does. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Robustness.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
-
 let robustness_rows (sc : Scenarios.Robustness.scorecard) =
-  let keys =
-    List.sort_uniq compare
-      (List.map
-         (fun (c : Scenarios.Robustness.cell) -> (c.algo, c.perturb))
-         sc.Scenarios.Robustness.cells)
-  in
-  List.concat_map
-    (fun (algo, perturb) ->
-      let cells =
-        List.filter
-          (fun (c : Scenarios.Robustness.cell) -> c.algo = algo && c.perturb = perturb)
-          sc.Scenarios.Robustness.cells
-      in
-      let n = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
-      let base = Printf.sprintf "robustness.%s.%s" (slug algo) (slug perturb) in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      let rmses =
-        List.filter_map
-          (fun (c : Scenarios.Robustness.cell) -> c.cwnd_rmse_vs_baseline)
-          cells
-      in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Robustness.utilization)) "fraction";
-        row "jain" (mean (fun c -> c.Scenarios.Robustness.jain_index)) "index";
-        row "median_rtt_inflation"
-          (mean (fun c -> c.Scenarios.Robustness.median_rtt_inflation))
-          "x";
-        row "retransmit_rate" (mean (fun c -> c.Scenarios.Robustness.retransmit_rate)) "fraction";
-      ]
-      @
-      match rmses with
-      | [] -> []
-      | _ ->
-        [
-          row "cwnd_rmse"
-            (List.fold_left ( +. ) 0.0 rmses /. float_of_int (List.length rmses))
-            "ratio";
-        ])
-    keys
+  grouped_rows
+    ~group:(fun (c : Scenarios.Robustness.cell) ->
+      Printf.sprintf "robustness.%s.%s" (slug c.algo) (slug c.perturb))
+    [
+      ("utilization", "fraction", fun c -> Some c.utilization);
+      ("jain", "index", fun c -> Some c.jain_index);
+      ("median_rtt_inflation", "x", fun c -> Some c.median_rtt_inflation);
+      ("retransmit_rate", "fraction", fun c -> Some c.retransmit_rate);
+      ("cwnd_rmse", "ratio", fun c -> c.cwnd_rmse_vs_baseline);
+    ]
+    sc.Scenarios.Robustness.cells
 
 let robustness_cmd =
   let algos =
@@ -745,69 +740,30 @@ let robustness_cmd =
     in
     Arg.(value & opt string "" & info [ "perturb" ] ~docv:"LIST" ~doc)
   in
-  let seeds =
-    let doc = "Comma-separated seeds; each seed multiplies the matrix." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 48.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 10.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
   let bench_json =
-    let doc =
-      "Merge $(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds) \
-       into the BENCH.json-schema file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
+    bench_json_arg
+      "$(b,robustness.*) per-(algorithm, perturbation) rows (averaged over seeds)"
   in
   let action algos perturbs seeds rate_mbps rtt_ms duration_s scorecard_file bench_json =
-    let split s = List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s)) in
+    check_outputs [ ("scorecard", scorecard_file); ("bench-json", bench_json) ];
+    let seeds = int_list ~flag:"--seeds" ~min:0 ~default:[ 42 ] seeds in
     let opt_list s = match split s with [] -> None | l -> Some l in
-    let seeds =
-      match
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n -> n
-            | None ->
-              Printf.eprintf "ccp_sim: --seeds: %S is not an integer\n%!" s;
-              exit 1)
-          (split seeds)
-      with
-      | [] -> [ 42 ]
-      | l -> l
-    in
     let sc =
       try
         Scenarios.Robustness.run ~rate_bps:(rate_mbps *. 1e6)
           ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
           ~duration:(Time_ns.of_float_sec duration_s) ~seeds ?algos:(opt_list algos)
           ?perturbs:(opt_list perturbs) ()
-      with Invalid_argument e ->
-        Printf.eprintf "ccp_sim: %s\n%!" e;
-        exit 1
+      with Invalid_argument e -> die "%s" e
     in
     print_string (Report.render_robustness sc);
-    (match scorecard_file with Some path -> write_scorecard ~path sc | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (robustness_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (fun path ->
+        write_json ~flag:"scorecard" ~what:"cells"
+          ~validate:Scenarios.Robustness.validate_scorecard path
+          (Scenarios.Robustness.to_json sc))
+      scorecard_file;
+    merge_bench_json bench_json (robustness_rows sc)
   in
   Cmd.v
     (Cmd.info "robustness"
@@ -816,145 +772,35 @@ let robustness_cmd =
           flows per cell with the guard envelope armed, reported as a schema-validated \
           scorecard.")
     Term.(
-      const action $ algos $ perturbs $ seeds $ rate_mbps $ rtt_ms $ duration_s
-      $ scorecard_file $ bench_json)
+      const action $ algos $ perturbs
+      $ seeds_arg "Comma-separated seeds; each seed multiplies the matrix."
+      $ rate_arg 48.0 $ rtt_ms $ cell_duration 10.0 $ scorecard_arg $ bench_json)
 
 (* --- chaos: composed resilience scenario (docs/fault-injection.md) --- *)
 
-let write_chaos_scorecard ~path (sc : Scenarios.Chaos.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Chaos.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Chaos.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
-
-(* Write-then-revalidate for the ccp-timeline/v1 document, the same
-   discipline as the scorecards: the bytes on disk are re-read and
-   re-checked against Ccp_obs.Timeline.validate before we claim
-   success. *)
-let write_timeline ~path (obs : Ccp_obs.Obs.t) =
-  match Ccp_obs.Timeline.of_obs obs with
-  | Error e ->
-    Printf.eprintf "ccp_sim: --timeline: %s\n%!" e;
-    exit 1
-  | Ok doc -> (
-    let oc = open_out path in
-    output_string oc (Ccp_obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    let ic = open_in_bin path in
-    let data = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Ccp_obs.Json.parse data with
-    | Error e ->
-      Printf.eprintf "ccp_sim: timeline %s does not parse: %s\n%!" path e;
-      exit 1
-    | Ok parsed -> (
-      match Ccp_obs.Timeline.validate parsed with
-      | Error e ->
-        Printf.eprintf "ccp_sim: timeline %s is malformed: %s\n%!" path e;
-        exit 1
-      | Ok n -> Printf.printf "timeline: wrote %s (%d windows)\n" path n))
-
 let chaos_rows (sc : Scenarios.Chaos.scorecard) =
-  let modes =
-    List.sort_uniq compare
-      (List.map (fun (c : Scenarios.Chaos.cell) -> c.mode) sc.Scenarios.Chaos.cells)
-  in
-  List.concat_map
-    (fun mode ->
-      let cells =
-        List.filter (fun (c : Scenarios.Chaos.cell) -> c.mode = mode) sc.Scenarios.Chaos.cells
-      in
-      let n = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. n in
-      let base = Printf.sprintf "chaos.%s" mode in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      let recoveries =
-        List.filter_map (fun (c : Scenarios.Chaos.cell) -> c.mean_recovery_rtts) cells
-      in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Chaos.utilization)) "fraction";
-        row "reports_shed" (mean (fun c -> float_of_int c.Scenarios.Chaos.reports_shed)) "msgs";
-        row "max_queue_wait" (mean (fun c -> c.Scenarios.Chaos.max_queue_wait_rtts)) "rtts";
-      ]
-      @
-      match recoveries with
-      | [] -> []
-      | _ ->
-        [
-          row "recovery"
-            (List.fold_left ( +. ) 0.0 recoveries /. float_of_int (List.length recoveries))
-            "rtts";
-        ])
-    modes
+  grouped_rows
+    ~group:(fun (c : Scenarios.Chaos.cell) -> "chaos." ^ c.mode)
+    [
+      ("utilization", "fraction", fun c -> Some c.utilization);
+      ("reports_shed", "msgs", fun c -> Some (float_of_int c.reports_shed));
+      ("max_queue_wait", "rtts", fun c -> Some c.max_queue_wait_rtts);
+      ("recovery", "rtts", fun c -> c.mean_recovery_rtts);
+    ]
+    sc.Scenarios.Chaos.cells
 
 let chaos_cmd =
-  let seeds =
-    let doc = "Comma-separated seeds; each seed runs a cold and a warm cell." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
-  in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
-  let bench_json =
-    let doc =
-      "Merge $(b,chaos.*) per-mode rows (averaged over seeds) into the BENCH.json-schema \
-       file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
-  in
   let timeline_file =
-    let doc =
+    file_arg "timeline"
       "Arm the telemetry bundle (windowed time-series, Top-K flow sketches, SLO \
        engine) and write the first cell's $(b,ccp-timeline/v1) document to $(docv). \
        The file is re-read and schema-validated; a malformed timeline makes the \
        command exit non-zero. Also embeds a $(b,health) section per scorecard cell."
-    in
-    Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
   in
   let action seeds rate_mbps rtt_ms duration_s scorecard_file bench_json timeline_file =
-    let seeds =
-      match
-        List.filter_map
-          (fun s ->
-            let s = String.trim s in
-            if s = "" then None
-            else
-              match int_of_string_opt s with
-              | Some n -> Some n
-              | None ->
-                Printf.eprintf "ccp_sim: --seeds: %S is not an integer\n%!" s;
-                exit 1)
-          (String.split_on_char ',' seeds)
-      with
-      | [] -> [ 42 ]
-      | l -> l
-    in
+    check_outputs
+      [ ("scorecard", scorecard_file); ("bench-json", bench_json); ("timeline", timeline_file) ];
+    let seeds = int_list ~flag:"--seeds" ~min:0 ~default:[ 42 ] seeds in
     let sc =
       Scenarios.Chaos.run ~rate_bps:(rate_mbps *. 1e6)
         ~base_rtt:(Time_ns.of_float_sec (rtt_ms /. 1e3))
@@ -985,23 +831,18 @@ let chaos_cmd =
                   | None -> "-")
                 c.Scenarios.Chaos.recoveries)))
       sc.Scenarios.Chaos.cells;
-    (match scorecard_file with Some path -> write_chaos_scorecard ~path sc | None -> ());
-    (match timeline_file with
-    | Some path -> (
-      match sc.Scenarios.Chaos.cells with
-      | { Scenarios.Chaos.telemetry = Some obs; _ } :: _ -> write_timeline ~path obs
-      | _ ->
-        Printf.eprintf "ccp_sim: --timeline: no telemetry bundle on the first cell\n%!";
-        exit 1)
-    | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (chaos_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (fun path ->
+        write_json ~flag:"scorecard" ~what:"cells" ~validate:Scenarios.Chaos.validate_scorecard
+          path (Scenarios.Chaos.to_json sc))
+      scorecard_file;
+    Option.iter
+      (fun path ->
+        let first = List.nth_opt sc.Scenarios.Chaos.cells 0 in
+        write_json ~flag:"timeline" ~what:"windows" ~validate:Ccp_obs.Timeline.validate path
+          (timeline_of (Option.bind first (fun c -> c.Scenarios.Chaos.telemetry))))
+      timeline_file;
+    merge_bench_json bench_json (chaos_rows sc)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1010,7 +851,10 @@ let chaos_cmd =
           crash/restart, run cold and warm (checkpointed) per seed, reported as a \
           schema-validated scorecard.")
     Term.(
-      const action $ seeds $ rate_mbps $ rtt_ms $ duration_s $ scorecard_file $ bench_json
+      const action
+      $ seeds_arg "Comma-separated seeds; each seed runs a cold and a warm cell."
+      $ rate_arg 96.0 $ rtt_ms $ cell_duration 12.0 $ scorecard_arg
+      $ bench_json_arg "$(b,chaos.*) per-mode rows (averaged over seeds)"
       $ timeline_file)
 
 (* --- top: textual live view of the control-loop telemetry --- *)
@@ -1019,14 +863,6 @@ let top_cmd =
   let top_seed =
     let doc = "Seed for the chaos composition driven under the live view." in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let top_rate =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
-  let top_duration =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 12.0 & info [ "duration" ] ~docv:"S" ~doc)
   in
   let action seed rate_mbps rtt_ms duration_s =
     let delta name w =
@@ -1129,57 +965,24 @@ let top_cmd =
           with the bundle armed and prints one row per closed window (report/shed/orphan \
           deltas, actuation p99, burn-rate alert transitions) as the simulation runs, \
           then a per-cell rollup of heavy-hitter flows and SLO verdicts.")
-    Term.(const action $ top_seed $ top_rate $ rtt_ms $ top_duration)
+    Term.(const action $ top_seed $ rate_arg 96.0 $ rtt_ms $ cell_duration 12.0)
 
 (* --- incast: flow-count scale-out family (docs/scale.md) --- *)
 
-let write_incast_scorecard ~path (sc : Scenarios.Incast.scorecard) =
-  let oc = open_out path in
-  output_string oc (Ccp_obs.Json.to_string (Scenarios.Incast.to_json sc));
-  output_char oc '\n';
-  close_out oc;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Ccp_obs.Json.parse data with
-  | Error e ->
-    Printf.eprintf "ccp_sim: scorecard %s does not parse: %s\n%!" path e;
-    exit 1
-  | Ok parsed -> (
-    match Scenarios.Incast.validate_scorecard parsed with
-    | Error e ->
-      Printf.eprintf "ccp_sim: scorecard %s is malformed: %s\n%!" path e;
-      exit 1
-    | Ok n -> Printf.printf "scorecard: wrote %s (%d cells)\n" path n)
-
 let incast_rows (sc : Scenarios.Incast.scorecard) =
-  let groups =
-    List.sort_uniq compare
-      (List.map
-         (fun (c : Scenarios.Incast.cell) -> (c.algo, c.n))
-         sc.Scenarios.Incast.cells)
-  in
-  List.concat_map
-    (fun (algo, n) ->
-      let cells =
-        List.filter
-          (fun (c : Scenarios.Incast.cell) -> c.algo = algo && c.n = n)
-          sc.Scenarios.Incast.cells
-      in
-      let k = float_of_int (List.length cells) in
-      let mean f = List.fold_left (fun acc c -> acc +. f c) 0.0 cells /. k in
-      let base = Printf.sprintf "incast.%s.n%d" algo n in
-      let row name value unit_ = { Ccp_obs.Metrics.name = base ^ "." ^ name; value; unit_ } in
-      [
-        row "utilization" (mean (fun c -> c.Scenarios.Incast.utilization)) "fraction";
-        row "p99_queue_delay" (mean (fun c -> c.Scenarios.Incast.p99_queue_delay_ms)) "ms";
-        row "reports_per_frame"
-          (mean (fun (c : Scenarios.Incast.cell) ->
-               if c.wire_messages = 0 then 0.0
-               else float_of_int c.reports /. float_of_int c.wire_messages))
-          "msgs";
-      ])
-    groups
+  grouped_rows
+    ~group:(fun (c : Scenarios.Incast.cell) -> Printf.sprintf "incast.%s.n%d" c.algo c.n)
+    [
+      ("utilization", "fraction", fun c -> Some c.utilization);
+      ("p99_queue_delay", "ms", fun c -> Some c.p99_queue_delay_ms);
+      ( "reports_per_frame",
+        "msgs",
+        fun c ->
+          Some
+            (if c.wire_messages = 0 then 0.0
+             else float_of_int c.reports /. float_of_int c.wire_messages) );
+    ]
+    sc.Scenarios.Incast.cells
 
 let incast_cmd =
   let ns =
@@ -1197,21 +1000,9 @@ let incast_cmd =
     in
     Arg.(value & opt string "" & info [ "algos" ] ~docv:"LIST" ~doc)
   in
-  let seeds =
-    let doc = "Comma-separated seeds; each seed multiplies the matrix." in
-    Arg.(value & opt string "42" & info [ "seeds" ] ~docv:"LIST" ~doc)
-  in
-  let rate_mbps =
-    let doc = "Bottleneck rate in Mbit/s." in
-    Arg.(value & opt float 96.0 & info [ "rate" ] ~docv:"MBPS" ~doc)
-  in
   let incast_rtt_ms =
     let doc = "Base RTT in milliseconds." in
     Arg.(value & opt float 10.0 & info [ "rtt" ] ~docv:"MS" ~doc)
-  in
-  let duration_s =
-    let doc = "Simulated duration per cell in seconds." in
-    Arg.(value & opt float 1.0 & info [ "duration" ] ~docv:"S" ~doc)
   in
   let no_batching =
     let doc =
@@ -1220,45 +1011,21 @@ let incast_cmd =
     in
     Arg.(value & flag & info [ "no-batching" ] ~doc)
   in
-  let scorecard_file =
-    let doc =
-      "Write the scorecard as JSON to $(docv). The file is re-read and schema-validated; \
-       a malformed scorecard makes the command exit non-zero."
-    in
-    Arg.(value & opt (some string) None & info [ "scorecard" ] ~docv:"FILE" ~doc)
-  in
   let bench_json =
-    let doc =
-      "Merge $(b,incast.*) per-(algorithm, N) rows (averaged over seeds and arrivals) \
-       into the BENCH.json-schema file at $(docv) (created when absent)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
+    bench_json_arg "$(b,incast.*) per-(algorithm, N) rows (averaged over seeds and arrivals)"
   in
   let timeline_file =
-    let doc =
+    file_arg "timeline"
       "Arm the telemetry bundle (Top-K flow sketches at k=64, windowed time-series, \
        SLO engine) and write the first cell's $(b,ccp-timeline/v1) document to \
        $(docv); re-read and schema-validated before the command exits zero."
-    in
-    Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
   in
   let action ns arrivals algos seeds rate_mbps rtt_ms duration_s no_batching scorecard_file
       bench_json timeline_file =
-    let split s =
-      List.filter (fun x -> x <> "") (List.map String.trim (String.split_on_char ',' s))
-    in
-    let ints flag s =
-      List.map
-        (fun x ->
-          match int_of_string_opt x with
-          | Some n -> n
-          | None ->
-            Printf.eprintf "ccp_sim: %s: %S is not an integer\n%!" flag x;
-            exit 1)
-        (split s)
-    in
-    let ns = match ints "--n" ns with [] -> [ 16; 64; 256 ] | l -> l in
-    let seeds = match ints "--seeds" seeds with [] -> [ 42 ] | l -> l in
+    check_outputs
+      [ ("scorecard", scorecard_file); ("bench-json", bench_json); ("timeline", timeline_file) ];
+    let ns = int_list ~flag:"-n" ~min:1 ~default:[ 16; 64; 256 ] ns in
+    let seeds = int_list ~flag:"--seeds" ~min:0 ~default:[ 42 ] seeds in
     let sc =
       try
         Scenarios.Incast.run ~rate_bps:(rate_mbps *. 1e6)
@@ -1268,9 +1035,7 @@ let incast_cmd =
           ?algos:(match split algos with [] -> None | l -> Some l)
           ~seeds ~batching:(not no_batching)
           ~with_telemetry:(timeline_file <> None) ()
-      with Invalid_argument e ->
-        Printf.eprintf "ccp_sim: %s\n%!" e;
-        exit 1
+      with Invalid_argument e -> die "%s" e
     in
     Printf.printf
       "Incast: %.0f Mbit/s, %.1f ms base RTT, buffer BDP/4, report batching %s\n"
@@ -1290,23 +1055,18 @@ let incast_cmd =
           c.Scenarios.Incast.wire_messages c.Scenarios.Incast.batches
           c.Scenarios.Incast.pool_rejections)
       sc.Scenarios.Incast.cells;
-    (match scorecard_file with Some path -> write_incast_scorecard ~path sc | None -> ());
-    (match timeline_file with
-    | Some path -> (
-      match sc.Scenarios.Incast.cells with
-      | { Scenarios.Incast.telemetry = Some obs; _ } :: _ -> write_timeline ~path obs
-      | _ ->
-        Printf.eprintf "ccp_sim: --timeline: no telemetry bundle on the first cell\n%!";
-        exit 1)
-    | None -> ());
-    match bench_json with
-    | Some path -> (
-      match Ccp_obs.Metrics.merge_rows_file ~path (incast_rows sc) with
-      | Ok n -> Printf.printf "bench-json: %s now holds %d rows\n" path n
-      | Error e ->
-        Printf.eprintf "ccp_sim: --bench-json: %s\n%!" e;
-        exit 1)
-    | None -> ()
+    Option.iter
+      (fun path ->
+        write_json ~flag:"scorecard" ~what:"cells" ~validate:Scenarios.Incast.validate_scorecard
+          path (Scenarios.Incast.to_json sc))
+      scorecard_file;
+    Option.iter
+      (fun path ->
+        let first = List.nth_opt sc.Scenarios.Incast.cells 0 in
+        write_json ~flag:"timeline" ~what:"windows" ~validate:Ccp_obs.Timeline.validate path
+          (timeline_of (Option.bind first (fun c -> c.Scenarios.Incast.telemetry))))
+      timeline_file;
+    merge_bench_json bench_json (incast_rows sc)
   in
   Cmd.v
     (Cmd.info "incast"
@@ -1315,8 +1075,10 @@ let incast_cmd =
           shallow-buffered bottleneck, slot-pooled agent registry and batched reports \
           armed, reported as a schema-validated scorecard.")
     Term.(
-      const action $ ns $ arrivals $ algos $ seeds $ rate_mbps $ incast_rtt_ms $ duration_s
-      $ no_batching $ scorecard_file $ bench_json $ timeline_file)
+      const action $ ns $ arrivals $ algos
+      $ seeds_arg "Comma-separated seeds; each seed multiplies the matrix."
+      $ rate_arg 96.0 $ incast_rtt_ms $ cell_duration 1.0 $ no_batching $ scorecard_arg
+      $ bench_json $ timeline_file)
 
 let sweep_cmd = simple "sweep" "CCP vs native Reno across a grid of operating points."
     (fun () ->

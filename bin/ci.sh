@@ -124,6 +124,24 @@ test -s "$incast_tmp/scorecard.json"
 grep -q '"incast\.' BENCH.json
 rm -rf "$incast_tmp"
 
+echo "== cli argument smoke =="
+# Matrix arguments are checked before any cell runs: a negative seed
+# exits non-zero naming the flag and leaves no scorecard behind.
+cli_tmp="$(mktemp -d)"
+if dune exec bin/ccp_sim.exe -- incast --seeds=-1 --scorecard "$cli_tmp/x.json" \
+  > /dev/null 2>&1; then
+  echo "ccp_sim incast --seeds=-1 exited zero" >&2
+  exit 1
+fi
+test ! -e "$cli_tmp/x.json"
+rm -rf "$cli_tmp"
+
+echo "== benchmark workloads match scenarios =="
+# perfbench rebuilds the fig3 and incast workloads from the scenarios'
+# public pieces; a Scenarios change that drifts from those configs must
+# fail here rather than in the benchmark (~45 s).
+dune exec perfbench/test/match_scenarios.exe -- 42
+
 echo "== scale bench smoke =="
 # The slot-pool churn and batched-report amortization benchmarks: the
 # driver itself exits non-zero if registration churn allocates per-flow

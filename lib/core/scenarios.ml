@@ -584,6 +584,59 @@ module Hostile = struct
     List.map (fun entry -> run_one ~duration ~seed ~threshold entry) all
 end
 
+(* ---- scorecards ---------------------------------------------------------
+
+   Robustness, Chaos and Incast each declare their JSON scorecard once,
+   as a Ccp_obs.Schema field spec; [to_json] and [validate_scorecard]
+   are both derived from it. These are the pieces the three share. *)
+
+module S = Ccp_obs.Schema
+
+let ( let* ) = Result.bind
+let nonneg v = v >= 0.0
+let fraction v = v >= 0.0 && v <= 1.0
+let utilization_ok u = u >= 0.0 && u <= 1.5
+
+(* Present only when the cell ran with telemetry armed, so plain
+   scorecards stay byte-identical to the goldens. *)
+let health_field telemetry =
+  S.Section
+    ( "health",
+      (fun c ->
+        match telemetry c with
+        | Some { Ccp_obs.Obs.health = Some h; _ } -> Some (Ccp_obs.Health.to_json h)
+        | _ -> None),
+      Ccp_obs.Health.validate_json )
+
+(* Every cell's seed must be one of the scorecard's declared seeds. *)
+let seeds_cover_cells json =
+  let* seeds = S.arr "seeds" json in
+  S.each "cells"
+    (fun cell ->
+      let* seed = S.num "seed" cell in
+      if List.mem (Ccp_obs.Json.Num seed) seeds then Ok ()
+      else Error (Printf.sprintf "seed %g is not in \"seeds\"" seed))
+    json
+
+let validate_cells spec json =
+  let* () = S.validate spec json in
+  Result.map List.length (S.arr "cells" json)
+
+(* A comma-separated list of matrix coordinates (seeds, flow counts) as
+   given on the command line: blank entries are skipped, an empty list
+   means [default], and every entry must be an integer >= [min]. *)
+let int_list ~flag ~min ~default spec =
+  let parse acc item =
+    let* items = acc in
+    match int_of_string_opt item with
+    | None -> Error (Printf.sprintf "%s: %S is not an integer" flag item)
+    | Some v when v < min -> Error (Printf.sprintf "%s: %d is below the minimum %d" flag v min)
+    | Some v -> Ok (v :: items)
+  in
+  match List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' spec)) with
+  | [] -> Ok default
+  | items -> Result.map List.rev (List.fold_left parse (Ok []) items)
+
 (* Robustness: the measurement-noise counterpart of {!Hostile}. Hostile
    attacks the datapath with adversarial programs; here the *network*
    misbehaves — jittered RTT samples, noisy delivery-rate estimates,
@@ -593,7 +646,6 @@ end
    ever trip quarantine?" (it must not). *)
 module Robustness = struct
   module Plan = Ccp_perturb.Perturb_plan
-  module J = Ccp_obs.Json
 
   let default_rate_bps = 48e6
   let default_base_rtt = Time_ns.ms 20
@@ -811,134 +863,59 @@ module Robustness = struct
     in
     { rate_bps; base_rtt; duration; seeds; cells }
 
-  let stats_to_json (s : Ccp_perturb.Sampler.stats) =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
+  let stats_spec : Ccp_perturb.Sampler.stats S.field list =
+    let open Ccp_perturb.Sampler in
+    S.
       [
-        ("rtt_samples", i s.Ccp_perturb.Sampler.rtt_samples);
-        ("burst_episodes", i s.Ccp_perturb.Sampler.burst_episodes);
-        ("rate_samples", i s.Ccp_perturb.Sampler.rate_samples);
-        ("rate_collapsed", i s.Ccp_perturb.Sampler.rate_collapsed);
-        ("policer_passed", i s.Ccp_perturb.Sampler.policer_passed);
-        ("policer_dropped", i s.Ccp_perturb.Sampler.policer_dropped);
+        Count ("rtt_samples", fun s -> s.rtt_samples);
+        Count ("burst_episodes", fun s -> s.burst_episodes);
+        Count ("rate_samples", fun s -> s.rate_samples);
+        Count ("rate_collapsed", fun s -> s.rate_collapsed);
+        Count ("policer_passed", fun s -> s.policer_passed);
+        Count ("policer_dropped", fun s -> s.policer_dropped);
       ]
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
-      ([
-        ("algo", J.Str c.algo);
-        ("perturb", J.Str c.perturb);
-        ("seed", i c.seed);
-        ("utilization", J.Num c.utilization);
-        ("jain", J.Num c.jain_index);
-        ("median_rtt_inflation", J.Num c.median_rtt_inflation);
-        ("p95_rtt_inflation", J.Num c.p95_rtt_inflation);
-        ("retransmit_rate", J.Num c.retransmit_rate);
-        ("timeouts", i c.timeouts);
-        ("quarantines", i c.quarantines);
-        ("installs_refused", i c.installs_refused);
-        ("fallbacks", i c.fallbacks);
-        ("guard_incidents", i c.guard_incidents);
-        ( "cwnd_rmse_vs_baseline",
-          match c.cwnd_rmse_vs_baseline with Some v -> J.Num v | None -> J.Null );
-        ( "perturb_stats",
-          match c.perturb_stats with Some s -> stats_to_json s | None -> J.Null );
-      ]
-      @
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> [])
-
-  let to_json sc =
-    J.Obj
+  let cell_spec : cell S.field list =
+    S.
       [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
+        Text ("algo", (fun c -> c.algo), algorithm_names);
+        Text ("perturb", (fun c -> c.perturb), perturbation_names);
+        Count ("seed", fun c -> c.seed);
+        Num ("utilization", (fun c -> c.utilization), utilization_ok);
+        Num ("jain", (fun c -> c.jain_index), fun j -> j > 0.0 && j <= 1.0 +. 1e-9);
+        Num ("median_rtt_inflation", (fun c -> c.median_rtt_inflation), fun m -> m >= 0.9);
+        Num ("p95_rtt_inflation", (fun c -> c.p95_rtt_inflation), any);
+        Check
+          (fun cell ->
+            let* m = num "median_rtt_inflation" cell in
+            let* p = num "p95_rtt_inflation" cell in
+            if p >= m -. 1e-9 then Ok ()
+            else Error (Printf.sprintf "RTT inflation pair (%g, %g) inconsistent" m p));
+        Num ("retransmit_rate", (fun c -> c.retransmit_rate), fraction);
+        Count ("timeouts", fun c -> c.timeouts);
+        Count ("quarantines", fun c -> c.quarantines);
+        Count ("installs_refused", fun c -> c.installs_refused);
+        Count ("fallbacks", fun c -> c.fallbacks);
+        Count ("guard_incidents", fun c -> c.guard_incidents);
+        Null_or_nonneg ("cwnd_rmse_vs_baseline", fun c -> c.cwnd_rmse_vs_baseline);
+        Null_or_obj ("perturb_stats", (fun c -> c.perturb_stats), stats_spec);
+        health_field (fun c -> c.telemetry);
       ]
 
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* _ = str "algo" cell in
-      let* _ = str "perturb" cell in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
-        if jain > 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* m = num "median_rtt_inflation" cell in
-      let* p = num "p95_rtt_inflation" cell in
-      let* () =
-        if m >= 0.9 && p >= m -. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "RTT inflation pair (%g, %g) inconsistent" m p))
-      in
-      let* rr = num "retransmit_rate" cell in
-      let* () =
-        if rr >= 0.0 && rr <= 1.0 then Ok ()
-        else Error (ctx (Printf.sprintf "retransmit_rate %g out of range" rr))
-      in
-      let* _ = counter "timeouts" cell in
-      let* _ = counter "quarantines" cell in
-      let* _ = counter "installs_refused" cell in
-      let* _ = counter "fallbacks" cell in
-      let* _ = counter "guard_incidents" cell in
-      let* () =
-        match J.member "cwnd_rmse_vs_baseline" cell with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "cwnd_rmse_vs_baseline must be null or a non-negative number")
-      in
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> ( match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+  let spec : scorecard S.field list =
+    S.
+      [
+        Text ("schema", (fun _ -> schema_tag), [ schema_tag ]);
+        Num ("rate_bps", (fun sc -> sc.rate_bps), any);
+        Num ("base_rtt_ms", (fun sc -> Time_ns.to_float_ms sc.base_rtt), any);
+        Num ("duration_s", (fun sc -> Time_ns.to_float_sec sc.duration), any);
+        Counts ("seeds", fun sc -> sc.seeds);
+        Objs ("cells", (fun sc -> sc.cells), cell_spec);
+        Check seeds_cover_cells;
+      ]
+
+  let to_json = S.emit spec
+  let validate_scorecard = validate_cells spec
 end
 
 (* Chaos: every resilience layer exercised at once. IPC faults (drops,
@@ -952,7 +929,6 @@ end
    pre-crash operating point, read off the cwnd trace. *)
 module Chaos = struct
   module Plan = Ccp_perturb.Perturb_plan
-  module J = Ccp_obs.Json
 
   let default_rate_bps = 96e6
   let default_base_rtt = Time_ns.ms 20
@@ -1185,167 +1161,63 @@ module Chaos = struct
     in
     { rate_bps; base_rtt; duration; seeds; crash_from; crash_until; cells }
 
-  let recovery_to_json rec_ =
-    J.Obj
+  let recovery_spec : recovery S.field list =
+    S.
       [
-        ("flow", J.Num (float_of_int rec_.flow_id));
-        ("pre_crash_cwnd", J.Num rec_.pre_crash_cwnd);
-        ( "recovery_rtts",
-          match rec_.recovery_rtts with Some v -> J.Num v | None -> J.Null );
+        Count ("flow", fun r -> r.flow_id);
+        Num ("pre_crash_cwnd", (fun r -> r.pre_crash_cwnd), nonneg);
+        Null_or_nonneg ("recovery_rtts", fun r -> r.recovery_rtts);
       ]
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    (* The health section only exists when the cell ran with telemetry
-       armed, so plain scorecards stay byte-identical to the goldens. *)
-    let health =
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> []
-    in
-    J.Obj
-      ([
-         ("mode", J.Str c.mode);
-         ("seed", i c.seed);
-         ("utilization", J.Num c.utilization);
-         ("jain", J.Num c.jain_index);
-         ("reports_shed", i c.reports_shed);
-         ("max_queue_wait_rtts", J.Num c.max_queue_wait_rtts);
-         ("degradations", i c.degradations);
-         ("decode_failures", i c.decode_failures);
-         ("checkpoints_taken", i c.checkpoints_taken);
-         ("warm_restores", i c.warm_restores);
-         ("fallbacks", i c.fallbacks);
-         ("recoveries", J.List (List.map recovery_to_json c.recoveries));
-         ( "mean_recovery_rtts",
-           match c.mean_recovery_rtts with Some v -> J.Num v | None -> J.Null );
-       ]
-      @ health)
-
-  let to_json sc =
-    J.Obj
+  let cell_spec : cell S.field list =
+    S.
       [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("crash_from_s", J.Num (Time_ns.to_float_sec sc.crash_from));
-        ("crash_until_s", J.Num (Time_ns.to_float_sec sc.crash_until));
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
+        Text ("mode", (fun c -> c.mode), List.map fst modes);
+        Count ("seed", fun c -> c.seed);
+        Num ("utilization", (fun c -> c.utilization), utilization_ok);
+        Num ("jain", (fun c -> c.jain_index), fun j -> j > 0.0 && j <= 1.0 +. 1e-9);
+        Count ("reports_shed", fun c -> c.reports_shed);
+        Num ("max_queue_wait_rtts", (fun c -> c.max_queue_wait_rtts), nonneg);
+        Count ("degradations", fun c -> c.degradations);
+        Count ("decode_failures", fun c -> c.decode_failures);
+        Count ("checkpoints_taken", fun c -> c.checkpoints_taken);
+        Count ("warm_restores", fun c -> c.warm_restores);
+        Check
+          (fun cell ->
+            let* mode = str "mode" cell in
+            let* ck = num "checkpoints_taken" cell in
+            let* wr = num "warm_restores" cell in
+            if mode = "cold" && (ck > 0.0 || wr > 0.0) then
+              Error "cold cell reports checkpoints or warm restores"
+            else Ok ());
+        Count ("fallbacks", fun c -> c.fallbacks);
+        Objs ("recoveries", (fun c -> c.recoveries), recovery_spec);
+        Null_or_nonneg ("mean_recovery_rtts", fun c -> c.mean_recovery_rtts);
+        health_field (fun c -> c.telemetry);
       ]
 
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* cf = num "crash_from_s" json in
-    let* cu = num "crash_until_s" json in
-    let* () =
-      if cf >= 0.0 && cu > cf then Ok ()
-      else Error (Printf.sprintf "crash window (%g, %g) inconsistent" cf cu)
-    in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* mode = str "mode" cell in
-      let* () =
-        if mode = "cold" || mode = "warm" then Ok ()
-        else Error (ctx (Printf.sprintf "unknown mode %S" mode))
-      in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
-        if jain > 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* _ = counter "reports_shed" cell in
-      let* w = num "max_queue_wait_rtts" cell in
-      let* () =
-        if w >= 0.0 then Ok ()
-        else Error (ctx (Printf.sprintf "max_queue_wait_rtts %g negative" w))
-      in
-      let* _ = counter "degradations" cell in
-      let* _ = counter "decode_failures" cell in
-      let* ck = counter "checkpoints_taken" cell in
-      let* wr = counter "warm_restores" cell in
-      let* () =
-        if mode = "cold" && (ck > 0.0 || wr > 0.0) then
-          Error (ctx "cold cell reports checkpoints or warm restores")
-        else Ok ()
-      in
-      let* _ = counter "fallbacks" cell in
-      let* recoveries =
-        match J.member "recoveries" cell with
-        | Some (J.List l) -> Ok l
-        | _ -> Error (ctx "missing \"recoveries\" array")
-      in
-      let check_recovery r =
-        let* _ = counter "flow" r in
-        let* pre = num "pre_crash_cwnd" r in
-        let* () =
-          if pre >= 0.0 then Ok ()
-          else Error (ctx (Printf.sprintf "pre_crash_cwnd %g negative" pre))
-        in
-        match J.member "recovery_rtts" r with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "recovery_rtts must be null or a non-negative number")
-      in
-      let* () =
-        List.fold_left
-          (fun acc r -> match acc with Error _ -> acc | Ok () -> check_recovery r)
-          (Ok ()) recoveries
-      in
-      let* () =
-        match J.member "mean_recovery_rtts" cell with
-        | Some J.Null -> Ok ()
-        | Some (J.Num v) when Float.is_finite v && v >= 0.0 -> Ok ()
-        | _ -> Error (ctx "mean_recovery_rtts must be null or a non-negative number")
-      in
-      (* Optional: present only when the cell ran with telemetry armed. *)
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> (
-        match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+  let spec : scorecard S.field list =
+    S.
+      [
+        Text ("schema", (fun _ -> schema_tag), [ schema_tag ]);
+        Num ("rate_bps", (fun sc -> sc.rate_bps), any);
+        Num ("base_rtt_ms", (fun sc -> Time_ns.to_float_ms sc.base_rtt), any);
+        Num ("duration_s", (fun sc -> Time_ns.to_float_sec sc.duration), any);
+        Num ("crash_from_s", (fun sc -> Time_ns.to_float_sec sc.crash_from), nonneg);
+        Num ("crash_until_s", (fun sc -> Time_ns.to_float_sec sc.crash_until), any);
+        Check
+          (fun json ->
+            let* cf = num "crash_from_s" json in
+            let* cu = num "crash_until_s" json in
+            if cu > cf then Ok ()
+            else Error (Printf.sprintf "crash window (%g, %g) inconsistent" cf cu));
+        Counts ("seeds", fun sc -> sc.seeds);
+        Objs ("cells", (fun sc -> sc.cells), cell_spec);
+        Check seeds_cover_cells;
+      ]
+
+  let to_json = S.emit spec
+  let validate_scorecard = validate_cells spec
 end
 
 (* Figure 2, measured end to end. {!Fig2} samples the latency model
@@ -1494,7 +1366,6 @@ end
    rejections). The "ccp-aggregate" algorithm rides the same topology
    with all N flows as members of one congestion-controlled aggregate. *)
 module Incast = struct
-  module J = Ccp_obs.Json
 
   let schema_tag = "ccp-incast-scorecard/v1"
   let default_rate_bps = 96e6
@@ -1680,146 +1551,64 @@ module Incast = struct
     in
     { rate_bps; base_rtt; duration; batching; seeds; cells }
 
-  let cell_to_json c =
-    let i n = J.Num (float_of_int n) in
-    J.Obj
-      ([
-        ("n", i c.n);
-        ("arrival", J.Str (arrival_to_string c.arrival));
-        ("algo", J.Str c.algo);
-        ("seed", i c.seed);
-        ("utilization", J.Num c.utilization);
-        ("jain", J.Num c.jain_index);
-        ("p99_queue_delay_ms", J.Num c.p99_queue_delay_ms);
-        ("retransmit_rate", J.Num c.retransmit_rate);
-        ("timeouts", i c.timeouts);
-        ("reports", i c.reports);
-        ("reports_shed", i c.reports_shed);
-        ("decode_failures", i c.decode_failures);
-        ("wire_messages", i c.wire_messages);
-        ("batches", i c.batches);
-        ("pool_rejections", i c.pool_rejections);
-      ]
-      @
-      match c.telemetry with
-      | Some { Ccp_obs.Obs.health = Some h; _ } ->
-        [ ("health", Ccp_obs.Health.to_json h) ]
-      | _ -> [])
-
-  let to_json sc =
-    J.Obj
+  let cell_spec : cell S.field list =
+    S.
       [
-        ("schema", J.Str schema_tag);
-        ("rate_bps", J.Num sc.rate_bps);
-        ("base_rtt_ms", J.Num (Time_ns.to_float_ms sc.base_rtt));
-        ("duration_s", J.Num (Time_ns.to_float_sec sc.duration));
-        ("batching", J.Bool sc.batching);
-        ("seeds", J.List (List.map (fun s -> J.Num (float_of_int s)) sc.seeds));
-        ("cells", J.List (List.map cell_to_json sc.cells));
-      ]
-
-  let validate_scorecard json =
-    let ( let* ) = Result.bind in
-    let str name obj =
-      match J.member name obj with
-      | Some (J.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" name)
-    in
-    let num name obj =
-      match Option.bind (J.member name obj) J.to_float with
-      | Some v when Float.is_finite v -> Ok v
-      | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-    in
-    let counter name obj =
-      let* v = num name obj in
-      if v >= 0.0 && Float.is_integer v then Ok v
-      else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-    in
-    let* schema = str "schema" json in
-    let* () =
-      if schema = schema_tag then Ok ()
-      else Error (Printf.sprintf "schema is %S, want %S" schema schema_tag)
-    in
-    let* _ = num "rate_bps" json in
-    let* _ = num "base_rtt_ms" json in
-    let* _ = num "duration_s" json in
-    let* batching =
-      match J.member "batching" json with
-      | Some (J.Bool b) -> Ok b
-      | _ -> Error "missing boolean field \"batching\""
-    in
-    let* cells =
-      match J.member "cells" json with
-      | Some (J.List l) -> Ok l
-      | _ -> Error "missing \"cells\" array"
-    in
-    let check_cell i cell =
-      let ctx msg = Printf.sprintf "cell %d: %s" i msg in
-      let ( let* ) a b = Result.bind (Result.map_error ctx a) b in
-      let* n = counter "n" cell in
-      let* () =
-        if n >= 1.0 then Ok () else Error (ctx (Printf.sprintf "n %g < 1" n))
-      in
-      let* arrival = str "arrival" cell in
-      let* () =
-        if arrival = "synchronized" || arrival = "staggered" then Ok ()
-        else Error (ctx (Printf.sprintf "unknown arrival %S" arrival))
-      in
-      let* algo = str "algo" cell in
-      let* () =
-        if List.mem algo algorithm_names then Ok ()
-        else Error (ctx (Printf.sprintf "unknown algo %S" algo))
-      in
-      let* _ = counter "seed" cell in
-      let* u = num "utilization" cell in
-      let* () =
-        if u >= 0.0 && u <= 1.5 then Ok ()
-        else Error (ctx (Printf.sprintf "utilization %g out of range" u))
-      in
-      let* jain = num "jain" cell in
-      let* () =
+        Num ("n", (fun c -> float_of_int c.n), fun n -> n >= 1.0 && Float.is_integer n);
+        Text
+          ( "arrival",
+            (fun c -> arrival_to_string c.arrival),
+            List.map arrival_to_string [ Synchronized; Staggered ] );
+        Text ("algo", (fun c -> c.algo), algorithm_names);
+        Count ("seed", fun c -> c.seed);
+        Num ("utilization", (fun c -> c.utilization), utilization_ok);
         (* Unlike the robustness matrix, heavy fan-in can legitimately
            starve flows to zero goodput, so 0 is admissible. *)
-        if jain >= 0.0 && jain <= 1.0 +. 1e-9 then Ok ()
-        else Error (ctx (Printf.sprintf "jain %g out of range" jain))
-      in
-      let* q = num "p99_queue_delay_ms" cell in
-      let* () =
-        if q >= 0.0 then Ok ()
-        else Error (ctx (Printf.sprintf "p99_queue_delay_ms %g negative" q))
-      in
-      let* rr = num "retransmit_rate" cell in
-      let* () =
-        if rr >= 0.0 && rr <= 1.0 then Ok ()
-        else Error (ctx (Printf.sprintf "retransmit_rate %g out of range" rr))
-      in
-      let* _ = counter "timeouts" cell in
-      let* reports = counter "reports" cell in
-      let* _ = counter "reports_shed" cell in
-      let* _ = counter "decode_failures" cell in
-      let* wire = counter "wire_messages" cell in
-      let* batches = counter "batches" cell in
-      let* () =
-        if batches <= wire then Ok ()
-        else Error (ctx (Printf.sprintf "batches %g > wire_messages %g" batches wire))
-      in
-      let* () =
-        if batching || batches = 0.0 then Ok ()
-        else Error (ctx "batches nonzero in an unbatched scorecard")
-      in
-      let* () =
-        if reports = 0.0 || wire > 0.0 then Ok ()
-        else Error (ctx "reports arrived over zero wire frames")
-      in
-      let* _ = counter "pool_rejections" cell in
-      match J.member "health" cell with
-      | None -> Ok ()
-      | Some h -> Result.map_error ctx (Ccp_obs.Timeline.validate_health h)
-    in
-    let rec check i = function
-      | [] -> Ok (List.length cells)
-      | c :: rest -> (
-        match check_cell i c with Ok () -> check (i + 1) rest | Error e -> Error e)
-    in
-    check 0 cells
+        Num ("jain", (fun c -> c.jain_index), fun j -> j >= 0.0 && j <= 1.0 +. 1e-9);
+        Num ("p99_queue_delay_ms", (fun c -> c.p99_queue_delay_ms), nonneg);
+        Num ("retransmit_rate", (fun c -> c.retransmit_rate), fraction);
+        Count ("timeouts", fun c -> c.timeouts);
+        Count ("reports", fun c -> c.reports);
+        Count ("reports_shed", fun c -> c.reports_shed);
+        Count ("decode_failures", fun c -> c.decode_failures);
+        Count ("wire_messages", fun c -> c.wire_messages);
+        Count ("batches", fun c -> c.batches);
+        Check
+          (fun cell ->
+            let* reports = num "reports" cell in
+            let* wire = num "wire_messages" cell in
+            let* batches = num "batches" cell in
+            if batches > wire then
+              Error (Printf.sprintf "batches %g > wire_messages %g" batches wire)
+            else if reports > 0.0 && wire = 0.0 then
+              Error "reports arrived over zero wire frames"
+            else Ok ());
+        Count ("pool_rejections", fun c -> c.pool_rejections);
+        health_field (fun c -> c.telemetry);
+      ]
+
+  let spec : scorecard S.field list =
+    S.
+      [
+        Text ("schema", (fun _ -> schema_tag), [ schema_tag ]);
+        Num ("rate_bps", (fun sc -> sc.rate_bps), any);
+        Num ("base_rtt_ms", (fun sc -> Time_ns.to_float_ms sc.base_rtt), any);
+        Num ("duration_s", (fun sc -> Time_ns.to_float_sec sc.duration), any);
+        Bool ("batching", fun sc -> sc.batching);
+        Counts ("seeds", fun sc -> sc.seeds);
+        Objs ("cells", (fun sc -> sc.cells), cell_spec);
+        Check seeds_cover_cells;
+        Check
+          (fun json ->
+            let* batching = bool "batching" json in
+            S.each "cells"
+              (fun cell ->
+                let* batches = num "batches" cell in
+                if batching || batches = 0.0 then Ok ()
+                else Error "batches nonzero in an unbatched scorecard")
+              json);
+      ]
+
+  let to_json = S.emit spec
+  let validate_scorecard = validate_cells spec
 end

@@ -261,6 +261,13 @@ module Hostile : sig
   (** {!run_one} over {!all}. *)
 end
 
+val int_list :
+  flag:string -> min:int -> default:int list -> string -> (int list, string) result
+(** Parse a comma-separated list of matrix coordinates from the command
+    line ([--seeds], [-n]): blank entries are skipped, an empty list
+    gives [default], and every entry must be an integer [>= min]. The
+    error names [flag]: ["--seeds: -1 is below the minimum 0"]. *)
+
 (** Robustness matrix: measurement-noise perturbations × CCP algorithms —
     the {!Ccp_perturb} counterpart of {!Hostile}. Hostile attacks the
     datapath with adversarial programs; here the network's *measurements*
@@ -342,14 +349,14 @@ module Robustness : sig
       bundle per cell, adding a [health] section to each cell's JSON. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
-  (** Schema check for emitted scorecards (CI re-parses what it writes):
-      verifies the schema tag, that every cell carries finite metrics in
-      range (utilization, Jain, RTT inflation, retransmit rate, integer
-      counters), and that RMSE is null or non-negative. [Ok n] = [n]
-      valid cells. *)
+  (** Both derived from one {!Ccp_obs.Schema} field spec. The validator
+      checks the schema tag, algorithm and perturbation names, finite
+      metrics in range, integer counters, RMSE null or non-negative,
+      [perturb_stats] null or an object of counters, p95 >= median RTT
+      inflation, and that every cell's seed is among [seeds]. [Ok n] =
+      [n] valid cells. *)
 end
 
 (** Chaos: every resilience layer at once. IPC faults (1 % drops, 2 %
@@ -464,15 +471,15 @@ module Chaos : sig
       view; {!Health} has already consumed the window when it fires. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
-  (** Schema check for emitted scorecards: verifies the schema tag and
-      crash window, every cell's mode/metric ranges, that cold cells
-      report no checkpoints or warm restores, and that recovery entries
-      are null or non-negative; a cell's optional [health] section is
-      checked with {!Ccp_obs.Timeline.validate_health}. [Ok n] = [n]
-      valid cells. *)
+  (** Both derived from one {!Ccp_obs.Schema} field spec. The validator
+      checks the schema tag and an ordered crash window, every cell's
+      mode and metric ranges, that cold cells report no checkpoints or
+      warm restores, that recovery entries are null or non-negative, and
+      that every cell's seed is among [seeds]; a cell's optional
+      [health] section is checked with {!Ccp_obs.Health.validate_json}.
+      [Ok n] = [n] valid cells. *)
 end
 
 (** Figure 2 measured end to end: full control-loop runs with the span
@@ -620,13 +627,13 @@ module Incast : sig
       from any RNG stream. *)
 
   val to_json : scorecard -> Ccp_obs.Json.t
-  val cell_to_json : cell -> Ccp_obs.Json.t
 
   val validate_scorecard : Ccp_obs.Json.t -> (int, string) result
-  (** Schema check for emitted scorecards (CI re-parses what it
-      writes): schema tag, arrival/algo names, metric ranges
+  (** Both derived from one {!Ccp_obs.Schema} field spec. The validator
+      checks the schema tag, arrival/algo names, metric ranges
       (utilization, Jain — zero admissible under starvation —, tail
       delay, retransmit rate), counter integrality, [batches <=
-      wire_messages], no batches in an unbatched scorecard, and
-      reports implying wire frames. [Ok n] = [n] valid cells. *)
+      wire_messages], no batches in an unbatched scorecard, reports
+      implying wire frames, and that every cell's seed is among
+      [seeds]. [Ok n] = [n] valid cells. *)
 end

@@ -285,38 +285,45 @@ let alert_state t ~slo =
 
 (* ---- export ------------------------------------------------------------- *)
 
-let verdict_to_json v =
-  Json.Obj
+(* The ["health"] section, declared once: {!to_json} and {!validate_json}
+   both derive from these specs. *)
+let states = List.map state_to_string [ Ok_state; Firing ]
+
+let verdict_spec =
+  Schema.
     [
-      ("slo", Json.Str v.v_slo);
-      ("objective", Json.Num v.v_objective);
-      ("bad", Json.Num v.v_bad);
-      ("total", Json.Num v.v_total);
-      ("bad_fraction", Json.Num v.v_bad_fraction);
-      ("breaches", Json.Num (float_of_int v.v_breaches));
-      ("fired", Json.Num (float_of_int v.v_fired));
-      ("worst_burn", Json.Num v.v_worst_burn);
-      ("final_state", Json.Str (state_to_string v.v_final_state));
-      ("pass", Json.Bool v.v_pass);
+      Text ("slo", (fun v -> v.v_slo), []);
+      Num ("objective", (fun v -> v.v_objective), fun o -> o > 0.0 && o <= 1.0);
+      Num ("bad", (fun v -> v.v_bad), any);
+      Num ("total", (fun v -> v.v_total), any);
+      Num ("bad_fraction", (fun v -> v.v_bad_fraction), fun f -> f >= 0.0 && f <= 1.0 +. 1e-9);
+      Count ("breaches", fun v -> v.v_breaches);
+      Count ("fired", fun v -> v.v_fired);
+      Num ("worst_burn", (fun v -> v.v_worst_burn), any);
+      Text ("final_state", (fun v -> state_to_string v.v_final_state), states);
+      Bool ("pass", fun v -> v.v_pass);
     ]
 
-let transition_to_json tr =
-  Json.Obj
+let transition_spec =
+  Schema.
     [
-      ("slo", Json.Str tr.tr_slo);
-      ("window", Json.Num (float_of_int tr.tr_window));
-      ("t_s", Json.Num (float_of_int tr.tr_at /. 1e9));
-      ("to", Json.Str (state_to_string tr.tr_to));
-      ("burn_short", Json.Num tr.tr_burn_short);
-      ("burn_long", Json.Num tr.tr_burn_long);
+      Text ("slo", (fun tr -> tr.tr_slo), []);
+      Count ("window", fun tr -> tr.tr_window);
+      Num ("t_s", (fun tr -> float_of_int tr.tr_at /. 1e9), any);
+      Text ("to", (fun tr -> state_to_string tr.tr_to), states);
+      Num ("burn_short", (fun tr -> tr.tr_burn_short), any);
+      Num ("burn_long", (fun tr -> tr.tr_burn_long), any);
     ]
 
-let to_json t =
-  Json.Obj
+let spec =
+  Schema.
     [
-      ("burn_threshold", Json.Num t.cfg.burn_threshold);
-      ("long_windows", Json.Num (float_of_int t.cfg.long_windows));
-      ("windows_evaluated", Json.Num (float_of_int t.windows_evaluated));
-      ("slos", Json.List (List.map verdict_to_json (verdicts t)));
-      ("transitions", Json.List (List.map transition_to_json (transitions t)));
+      Num ("burn_threshold", (fun t -> t.cfg.burn_threshold), any);
+      Count ("long_windows", fun t -> t.cfg.long_windows);
+      Count ("windows_evaluated", fun t -> t.windows_evaluated);
+      Objs ("slos", verdicts, verdict_spec);
+      Objs ("transitions", transitions, transition_spec);
     ]
+
+let to_json t = Schema.emit spec t
+let validate_json json = Schema.validate spec json

@@ -89,9 +89,12 @@ type verdict = {
 val verdicts : t -> verdict list
 (** One per configured SLO, in configuration order. *)
 
-val verdict_to_json : verdict -> Json.t
-val transition_to_json : transition -> Json.t
-
 val to_json : t -> Json.t
 (** The ["health"] section of the [ccp-timeline/v1] document:
     burn config, per-SLO verdicts, and the transition log. *)
+
+val validate_json : Json.t -> (unit, string) result
+(** Check a ["health"] section against the same {!Schema} spec
+    {!to_json} emits from. Shared by {!Timeline.validate} and the
+    scenario scorecards, which embed the section per cell when
+    telemetry is armed. *)

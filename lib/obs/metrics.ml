@@ -290,7 +290,7 @@ let read_file path =
   close_in ic;
   s
 
-let merge_rows_file ~path rows =
+let merge_rows ~path rows =
   let existing =
     if Sys.file_exists path then
       match Json.parse (read_file path) with
@@ -317,3 +317,6 @@ let merge_rows_file ~path rows =
       output_string oc "\n";
       close_out oc;
       Ok (List.length merged))
+
+let merge_rows_file ~path rows =
+  try merge_rows ~path rows with Sys_error e -> Error e

@@ -111,7 +111,8 @@ val rows_of_json : Json.t -> (row list, string) result
 val merge_rows_file : path:string -> row list -> (int, string) result
 (** Merge [rows] into the BENCH.json-schema file at [path]: existing rows
     with the same name are replaced, everything is re-sorted by name and
-    schema-checked before writing. Creates the file when absent. [Ok n]
+    schema-checked before writing. Creates the file when absent; I/O
+    failures come back as [Error], never as [Sys_error]. [Ok n]
     gives the merged row count. Used by [ipc_rtt --bench-json] and
     [ccp_sim latency --bench-json] so real-machine IPC RTTs and simulated
     reaction latencies land in one artifact. *)

@@ -34,37 +34,9 @@ let of_obs (obs : Obs.t) =
 
 (* ---- validation --------------------------------------------------------- *)
 
+open Schema
+
 let ( let* ) = Result.bind
-
-let str name obj =
-  match Json.member name obj with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let num name obj =
-  match Option.bind (Json.member name obj) Json.to_float with
-  | Some v when Float.is_finite v -> Ok v
-  | _ -> Error (Printf.sprintf "missing or non-finite numeric field %S" name)
-
-let counter name obj =
-  let* v = num name obj in
-  if v >= 0.0 && Float.is_integer v then Ok v
-  else Error (Printf.sprintf "field %S = %g is not a non-negative integer" name v)
-
-let arr name obj =
-  match Json.member name obj with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "missing array field %S" name)
-
-let fold_each ctx check l =
-  let rec go i = function
-    | [] -> Ok ()
-    | x :: rest -> (
-      match Result.map_error (fun e -> Printf.sprintf "%s %d: %s" ctx i e) (check x) with
-      | Ok () -> go (i + 1) rest
-      | Error _ as e -> e)
-  in
-  go 0 l
 
 let check_point p =
   let* _ = str "name" p in
@@ -99,74 +71,7 @@ let check_window w =
     if t0 >= 0.0 && t1 > t0 then Ok ()
     else Error (Printf.sprintf "window span (%g, %g) inconsistent" t0 t1)
   in
-  let* points = arr "metrics" w in
-  fold_each "point" check_point points
-
-let check_sketch s =
-  let* _ = str "name" s in
-  let* k = counter "k" s in
-  let* total = counter "total" s in
-  let* entries = arr "entries" s in
-  let* () =
-    if float_of_int (List.length entries) <= k then Ok ()
-    else Error "more entries than k"
-  in
-  let bound = if List.length entries < int_of_float k then 0.0 else total /. k in
-  fold_each "entry" (fun e ->
-      let* _ = counter "key" e in
-      let* _ = counter "count" e in
-      let* err = counter "err" e in
-      if err <= bound then Ok ()
-      else Error (Printf.sprintf "err %g exceeds space-saving bound %g" err bound))
-    entries
-
-let check_transition tr =
-  let* _ = str "slo" tr in
-  let* _ = counter "window" tr in
-  let* _ = num "t_s" tr in
-  let* to_ = str "to" tr in
-  let* () =
-    if to_ = "firing" || to_ = "ok" then Ok ()
-    else Error (Printf.sprintf "unknown alert state %S" to_)
-  in
-  let* _ = num "burn_short" tr in
-  let* _ = num "burn_long" tr in
-  Ok ()
-
-let check_slo s =
-  let* _ = str "slo" s in
-  let* obj = num "objective" s in
-  let* () =
-    if obj > 0.0 && obj <= 1.0 then Ok ()
-    else Error (Printf.sprintf "objective %g out of (0, 1]" obj)
-  in
-  let* _ = num "bad" s in
-  let* _ = num "total" s in
-  let* frac = num "bad_fraction" s in
-  let* () =
-    if frac >= 0.0 && frac <= 1.0 +. 1e-9 then Ok ()
-    else Error (Printf.sprintf "bad_fraction %g out of range" frac)
-  in
-  let* _ = counter "breaches" s in
-  let* _ = counter "fired" s in
-  let* _ = num "worst_burn" s in
-  let* final = str "final_state" s in
-  let* () =
-    if final = "firing" || final = "ok" then Ok ()
-    else Error (Printf.sprintf "unknown final state %S" final)
-  in
-  match Json.member "pass" s with
-  | Some (Json.Bool _) -> Ok ()
-  | _ -> Error "missing boolean field \"pass\""
-
-let validate_health h =
-  let* _ = num "burn_threshold" h in
-  let* _ = counter "long_windows" h in
-  let* _ = counter "windows_evaluated" h in
-  let* slos = arr "slos" h in
-  let* () = fold_each "slo" check_slo slos in
-  let* transitions = arr "transitions" h in
-  fold_each "transition" check_transition transitions
+  each "metrics" check_point w
 
 let validate json =
   let* schema = str "schema" json in
@@ -188,16 +93,10 @@ let validate json =
       Error
         (Printf.sprintf "held %d + dropped %g windows != total %g" held dropped total)
   in
-  let* () = fold_each "window" check_window windows in
-  let* () =
-    match Json.member "topk" json with
-    | None -> Ok ()
-    | Some (Json.List sketches) -> fold_each "sketch" check_sketch sketches
-    | Some _ -> Error "\"topk\" is not an array"
+  let* () = all "windows" check_window windows in
+  let optional name check =
+    match Json.member name json with None -> Ok () | Some j -> check j
   in
-  let* () =
-    match Json.member "health" json with
-    | None -> Ok ()
-    | Some h -> validate_health h
-  in
+  let* () = optional "topk" Topk.validate_json in
+  let* () = optional "health" Health.validate_json in
   Ok held

@@ -14,11 +14,6 @@ val of_obs : Obs.t -> (Json.t, string) result
 (** Compose from a bundle; [Error] when the bundle was created without
     telemetry. *)
 
-val validate_health : Json.t -> (unit, string) result
-(** Validate just a ["health"] section ({!Health.to_json} output) —
-    shared with the scenario scorecard validators, which embed the same
-    section per cell when telemetry is armed. *)
-
 val validate : Json.t -> (int, string) result
 (** Structural validation: schema tag, window accounting
     (held + dropped = total), per-point field presence and invariants

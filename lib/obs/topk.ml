@@ -122,20 +122,42 @@ let sketches t =
     (fun n -> Hashtbl.find t.table n)
     (List.sort compare names)
 
-let sketch_to_json s =
-  let i n = Json.Num (float_of_int n) in
-  Json.Obj
+(* One sketch's JSON, declared once: {!to_json} and {!validate_json}
+   both derive from it. *)
+let sketch_spec =
+  Schema.
     [
-      ("name", Json.Str s.s_name);
-      ("k", i s.k);
-      ("total", i s.total);
-      ( "entries",
-        Json.List
-          (List.map
-             (fun e ->
-               Json.Obj
-                 [ ("key", i e.key); ("count", i e.count); ("err", i e.err) ])
-             (entries s)) );
+      Text ("name", (fun s -> s.s_name), []);
+      Count ("k", fun s -> s.k);
+      Count ("total", fun s -> s.total);
+      Objs
+        ( "entries",
+          entries,
+          [
+            Count ("key", fun e -> e.key);
+            Count ("count", fun e -> e.count);
+            Count ("err", fun e -> e.err);
+          ] );
+      Check
+        (fun json ->
+          let ( let* ) = Result.bind in
+          let* k = num "k" json in
+          let* total = num "total" json in
+          let* entries = arr "entries" json in
+          let held = float_of_int (List.length entries) in
+          let bound = if held < k then 0.0 else total /. k in
+          if held > k then Error "more entries than k"
+          else
+            all "entries"
+              (fun e ->
+                let* err = num "err" e in
+                if err <= bound then Ok ()
+                else Error (Printf.sprintf "err %g exceeds space-saving bound %g" err bound))
+              entries);
     ]
 
-let to_json t = Json.List (List.map sketch_to_json (sketches t))
+let to_json t = Json.List (List.map (Schema.emit sketch_spec) (sketches t))
+
+let validate_json = function
+  | Json.List sketches -> Schema.all "topk" (Schema.validate sketch_spec) sketches
+  | _ -> Error "\"topk\" is not an array"

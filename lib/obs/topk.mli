@@ -60,6 +60,10 @@ val error_bound : sketch -> int
 val sketches : t -> sketch list
 (** All sketches, sorted by name. *)
 
-val sketch_to_json : sketch -> Json.t
 val to_json : t -> Json.t
 (** Sorted array of [{"name";"k";"total";"entries":[{"key";"count";"err"}]}]. *)
+
+val validate_json : Json.t -> (unit, string) result
+(** Check a {!to_json} array against the same {!Schema} spec, plus the
+    space-saving invariants: at most [k] entries, and every [err] within
+    [total / k] once the sketch has been full (0 before). *)

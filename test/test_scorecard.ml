@@ -81,6 +81,12 @@ let common_cell_mutations ~counter : mutation list =
     ("fractional counter", set (cell counter) (num 2.5), counter);
     ("string counter", set (cell counter) (J.Str "3"), counter);
     ("negative seed", set (cell "seed") (num (-1.0)), "seed");
+    (* The seeds rule: the top-level array holds non-negative integers
+       and every cell's seed is one of them. *)
+    ("negative declared seed", set [ "seeds" ] (J.List [ num (-1.0) ]), "seeds");
+    ("fractional declared seed", set [ "seeds" ] (J.List [ num 42.5 ]), "seeds");
+    ("dropped seeds", drop [] "seeds", "seeds");
+    ("cell seed not declared", set (cell "seed") (num 7.0), "seed 7");
   ]
 
 let robustness_mutations : mutation list =
@@ -106,6 +112,12 @@ let robustness_mutations : mutation list =
        "cwnd_rmse_vs_baseline");
       ("p95 below median RTT inflation", set (cell "p95_rtt_inflation") (num 1.0),
        "RTT inflation");
+      ("unknown algo", set (cell "algo") (J.Str "ccp-nope"), "algo");
+      ("unknown perturb", set (cell "perturb") (J.Str "sunspots"), "perturb");
+      ("perturb_stats not an object", set (cell1 "perturb_stats") (J.Str "x"), "perturb_stats");
+      ( "negative perturb_stats counter",
+        set [ "cells"; "1"; "perturb_stats"; "rtt_samples" ] (num (-1.0)),
+        "rtt_samples" );
     ]
 
 let chaos_mutations : mutation list =
@@ -166,6 +178,46 @@ let timeline_mutations : mutation list =
     ("dropped health burn_threshold", drop [ "health" ] "burn_threshold", "burn_threshold");
   ]
 
+(* --- the CLI's shared pieces: list arguments and output files --- *)
+
+let test_int_list () =
+  let check = Alcotest.(check (result (list int) string)) in
+  let seeds = Scenarios.int_list ~flag:"--seeds" ~min:0 ~default:[ 42 ] in
+  check "blanks skipped" (Ok [ 1; 2; 0 ]) (seeds " 1, 2,,0 ");
+  check "empty gives the default" (Ok [ 42 ]) (seeds "");
+  check "negative seed rejected" (Error "--seeds: -1 is below the minimum 0") (seeds "3,-1");
+  check "non-integer rejected" (Error "--seeds: \"x\" is not an integer") (seeds "1,x");
+  check "non-positive flow count rejected" (Error "-n: 0 is below the minimum 1")
+    (Scenarios.int_list ~flag:"-n" ~min:1 ~default:[ 16 ] "16,0")
+
+let test_unwritable_paths () =
+  (* A regular file used as a directory: the parent exists but cannot
+     hold the output, on any host. *)
+  let file = Filename.temp_file "ccp_scorecard" ".tmp" in
+  let path = Filename.concat file "out.json" in
+  let is_error = function Ok _ -> false | Error _ -> true in
+  let names_path = function Ok _ -> false | Error e -> contains ~sub:path e in
+  Alcotest.(check bool) "writable refuses" true (names_path (Ccp_obs.Schema.writable path));
+  Alcotest.(check bool) "write returns the error" true
+    (names_path (Ccp_obs.Schema.write ~path ~validate:(fun _ -> Ok 0) (J.Obj [])));
+  Alcotest.(check bool) "bench merge returns the error" true
+    (is_error (Ccp_obs.Metrics.merge_rows_file ~path []));
+  Sys.remove file
+
+let test_write_revalidates () =
+  let path = Filename.temp_file "ccp_scorecard" ".json" in
+  let doc = J.Obj [ ("cells", J.List [ J.Null; J.Null ]) ] in
+  let count j = match J.member "cells" j with Some (J.List l) -> Ok (List.length l) | _ -> Error "no cells" in
+  Alcotest.(check (result int string)) "count from the re-read file" (Ok 2)
+    (Ccp_obs.Schema.write ~path ~validate:count doc);
+  Alcotest.(check string) "one line on disk" (J.to_string doc ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check bool) "validator rejection reported" true
+    (match Ccp_obs.Schema.write ~path ~validate:(fun _ -> Error "nope") doc with
+    | Error e -> contains ~sub:"is malformed: nope" e
+    | Ok _ -> false);
+  Sys.remove path
+
 let suite =
   [
     ( "scorecard.reject",
@@ -182,5 +234,11 @@ let suite =
         Alcotest.test_case "timeline golden" `Quick
           (check_golden ~golden:"golden_timeline.expected" ~count:24
              ~validate:Ccp_obs.Timeline.validate timeline_mutations);
+      ] );
+    ( "scorecard.cli",
+      [
+        Alcotest.test_case "integer-list flags" `Quick test_int_list;
+        Alcotest.test_case "unwritable output paths" `Quick test_unwritable_paths;
+        Alcotest.test_case "write then revalidate" `Quick test_write_revalidates;
       ] );
   ]
