@@ -426,6 +426,19 @@ let run_cmd =
       guard_report_us guard_quarantine shed_queue shed_watermark shed_budget
       shed_interval_ms checkpoint_ms =
     check_outputs [ ("trace", trace) ];
+    (* The guard envelope and the watchdog refuse settings they cannot
+       honour; name the flag, not the record field, before any run. *)
+    let require flag ok fmt =
+      Printf.ksprintf (fun msg -> if not ok then die "--%s: %s" flag msg) fmt
+    in
+    require "guard-min-cwnd" (guard_min_cwnd >= 1) "%d is below the minimum 1" guard_min_cwnd;
+    require "guard-max-rate" (guard_max_rate > 0.0) "%g is not a positive rate" guard_max_rate;
+    require "guard-report-interval" (guard_report_us >= 0.0)
+      "%g is not a non-negative interval" guard_report_us;
+    require "guard-quarantine" (guard_quarantine >= 0) "%d is negative" guard_quarantine;
+    require "fallback-rtts"
+      (fallback_rtts >= 0.0 && Float.is_finite fallback_rtts)
+      "%g is not a non-negative number of RTTs" fallback_rtts;
     let config =
       build_config ~rate_mbps ~rtt_ms ~duration_s ~buffer_bdp ~seed ~flows ~ecn_bdp
     in
@@ -451,15 +464,16 @@ let run_cmd =
     in
     let datapath =
       if fallback_rtts <= 0.0 then datapath
-      else
+      else begin
+        let after = Time_ns.scale config.Experiment.base_rtt fallback_rtts in
+        if not (Time_ns.is_positive after) then
+          die "--fallback-rtts: %g RTTs is shorter than a nanosecond" fallback_rtts;
         {
           datapath with
           Ccp_datapath.Ccp_ext.fallback =
-            Some
-              (Ccp_datapath.Ccp_ext.native_fallback
-                 ~after:(Time_ns.scale config.Experiment.base_rtt fallback_rtts)
-                 Ccp_algorithms.Native_reno.create);
+            Some (Ccp_datapath.Ccp_ext.native_fallback ~after Ccp_algorithms.Native_reno.create);
         }
+      end
     in
     let obs = Option.map (fun _ -> Ccp_obs.Obs.create ()) trace in
     (try

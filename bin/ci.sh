@@ -136,6 +136,39 @@ fi
 test ! -e "$cli_tmp/x.json"
 rm -rf "$cli_tmp"
 
+echo "== datapath self-protection smoke =="
+# The adversarial-program suite end to end (docs/safety.md): every
+# runtime-hostile program must be quarantined exactly once and then
+# recover with its corrected install, and the one program admission can
+# judge statically (wait-too-short) must be refused, never quarantined.
+# Then an out-of-range guard flag must exit 1 naming the flag before any
+# simulation runs (no utilization line). The byte-frozen seed-42 hostile
+# and degraded scenarios and the ownership hand-overs run in the suite
+# above (owner.*).
+guard_tmp="$(mktemp -d)"
+dune exec bin/ccp_sim.exe -- hostile > "$guard_tmp/hostile.out"
+awk 'NR > 2 {
+       rows++
+       if ($1 == "wait-too-short") ok = ($4 == 1 && $6 == 0 && $7 == "true")
+       else ok = ($6 == 1 && $7 == "true")
+       if (!ok) { print "hostile: unexpected row: " $0 > "/dev/stderr"; bad = 1 }
+     }
+     END { if (rows != 7) { print "hostile: expected 7 programs, got " rows > "/dev/stderr"; bad = 1 }
+           exit bad }' "$guard_tmp/hostile.out"
+status=0
+dune exec bin/ccp_sim.exe -- run --flows ccp-bbr --guard-max-rate=-5 \
+  > "$guard_tmp/run.out" 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "ccp_sim run --guard-max-rate=-5 exited $status, expected 1" >&2
+  exit 1
+fi
+grep -q -- '--guard-max-rate' "$guard_tmp/run.out"
+if grep -q 'utilization' "$guard_tmp/run.out"; then
+  echo "ccp_sim run --guard-max-rate=-5 ran a simulation" >&2
+  exit 1
+fi
+rm -rf "$guard_tmp"
+
 echo "== benchmark workloads match scenarios =="
 # perfbench rebuilds the fig3 and incast workloads from the scenarios'
 # public pieces; a Scenarios change that drifts from those configs must

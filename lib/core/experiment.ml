@@ -45,7 +45,6 @@ type config = {
       (* cross-flow report batching watermarks on the IPC channel;
          None = one wire frame per message, the original framing *)
   datapath : Ccp_ext.config;
-  tcp : Tcp_flow.config;
   sample_interval : Time_ns.t;
   offloads : offload_spec option;
   policy : (Ccp_agent.Algorithm.flow_info -> Ccp_agent.Policy.t) option;
@@ -65,9 +64,10 @@ type config = {
          after each agent-outage restart; None = cold restarts *)
   inspect : (handles -> unit) option;
   obs : Ccp_obs.Obs.t option;
-  obs_flow_sample_interval : Time_ns.t;
-      (* throttle for per-flow Flow_sample trace events; zero = every ACK *)
 }
+
+(* Minimum spacing of per-flow Flow_sample trace events. *)
+let obs_flow_sample_interval = Time_ns.ms 10
 
 let default_config ~rate_bps ~base_rtt ~duration =
   let bdp = int_of_float (rate_bps *. Time_ns.to_float_sec base_rtt /. 8.0) in
@@ -83,7 +83,6 @@ let default_config ~rate_bps ~base_rtt ~duration =
     ipc = Ccp_ipc.Latency_model.netlink_idle;
     ipc_batching = None;
     datapath = Ccp_ext.default_config;
-    tcp = Tcp_flow.default_config;
     sample_interval = Time_ns.ms 100;
     offloads = None;
     policy = None;
@@ -97,7 +96,6 @@ let default_config ~rate_bps ~base_rtt ~duration =
     checkpoint_interval = None;
     inspect = None;
     obs = None;
-    obs_flow_sample_interval = Time_ns.ms 10;
   }
 
 type flow_result = {
@@ -149,7 +147,6 @@ and agent_stats = {
   degradations : int;
   checkpoints_taken : int;
   warm_restores : int;
-  quarantine_probes : int;
   max_queue_wait : Time_ns.t;
 }
 
@@ -260,9 +257,9 @@ let run (config : config) =
     in
     let tcp_config =
       {
-        config.tcp with
+        Tcp_flow.default_config with
         app_limit_bytes = spec.app_limit_bytes;
-        ecn_capable = config.ecn_threshold_bytes <> None || config.tcp.ecn_capable;
+        ecn_capable = config.ecn_threshold_bytes <> None || Tcp_flow.default_config.ecn_capable;
       }
     in
     (* Per-flow measurement-noise sampler. Seeded from the experiment
@@ -333,7 +330,7 @@ let run (config : config) =
     in
     let sender =
       Tcp_flow.create ~sim ~flow:id ~config:tcp_config ~cc ~transmit ?obs:config.obs
-        ~obs_sample_interval:config.obs_flow_sample_interval ?perturb:sampler ()
+        ~obs_sample_interval:obs_flow_sample_interval ?perturb:sampler ()
     in
     sender_ref := Some sender;
     let ack_sink =
@@ -478,44 +475,22 @@ let run (config : config) =
           degradations = Ccp_agent.Agent.degradations agent;
           checkpoints_taken = !checkpoints_taken;
           warm_restores = Ccp_agent.Agent.warm_restores agent;
-          quarantine_probes = Ccp_ext.quarantine_probes_sent ccp_ext;
           max_queue_wait = Ccp_agent.Agent.max_queue_wait agent;
         })
       ccp_parts
   in
   let duration_s = Time_ns.to_float_sec config.duration in
-  let cpu_stats_of_sender paths =
+  (* One host's CPU model summed over its per-flow paths; each path is
+     given as (busy time, operations, segments). *)
+  let cpu_stats paths =
     match paths with
     | [] -> None
     | _ ->
       let busy =
-        List.fold_left
-          (fun acc p -> acc +. Time_ns.to_float_sec (Offload.Sender_path.busy_time p))
-          0.0 paths
+        List.fold_left (fun acc (b, _, _) -> acc +. Time_ns.to_float_sec b) 0.0 paths
       in
-      let ops = List.fold_left (fun acc p -> acc + Offload.Sender_path.operations p) 0 paths in
-      let segs = List.fold_left (fun acc p -> acc + Offload.Sender_path.segments p) 0 paths in
-      Some
-        {
-          busy_fraction = busy /. duration_s;
-          operations = ops;
-          segments_total = segs;
-          mean_batch = (if ops = 0 then 0.0 else float_of_int segs /. float_of_int ops);
-        }
-  in
-  let cpu_stats_of_receiver paths =
-    match paths with
-    | [] -> None
-    | _ ->
-      let busy =
-        List.fold_left
-          (fun acc p -> acc +. Time_ns.to_float_sec (Offload.Receiver_path.busy_time p))
-          0.0 paths
-      in
-      let ops = List.fold_left (fun acc p -> acc + Offload.Receiver_path.operations p) 0 paths in
-      let segs =
-        List.fold_left (fun acc p -> acc + Offload.Receiver_path.segments p) 0 paths
-      in
+      let ops = List.fold_left (fun acc (_, o, _) -> acc + o) 0 paths in
+      let segs = List.fold_left (fun acc (_, _, s) -> acc + s) 0 paths in
       Some
         {
           busy_fraction = busy /. duration_s;
@@ -539,8 +514,16 @@ let run (config : config) =
     jain_index =
       Stats.jain_fairness (Array.of_list (List.map (fun r -> r.goodput_bps) flow_results));
     agent_stats;
-    sender_cpu = cpu_stats_of_sender sender_paths;
-    receiver_cpu = cpu_stats_of_receiver receiver_paths;
+    sender_cpu =
+      cpu_stats
+        (List.map
+           Offload.Sender_path.(fun p -> (busy_time p, operations p, segments p))
+           sender_paths);
+    receiver_cpu =
+      cpu_stats
+        (List.map
+           Offload.Receiver_path.(fun p -> (busy_time p, operations p, segments p))
+           receiver_paths);
     perturb_stats =
       (match List.filter_map (fun inst -> inst.sampler) flows_only with
       | [] -> None

@@ -56,7 +56,6 @@ type config = {
           [None] (the default) sends one wire frame per message — the
           original framing, byte-identical to a build without batching *)
   datapath : Ccp_ext.config;
-  tcp : Tcp_flow.config;
   sample_interval : Time_ns.t;  (** throughput/queue series resolution *)
   offloads : offload_spec option;  (** Figure 5's host CPU model, off by default *)
   policy : (Ccp_agent.Algorithm.flow_info -> Ccp_agent.Policy.t) option;
@@ -94,10 +93,8 @@ type config = {
   obs : Ccp_obs.Obs.t option;
       (** observability bundle threaded through the channel, datapath
           extension, agent, and every TCP flow; [None] (the default)
-          keeps all of them on their zero-cost paths *)
-  obs_flow_sample_interval : Time_ns.t;
-      (** minimum spacing of per-flow [Flow_sample] trace events
-          (default 10 ms); zero records one per ACK *)
+          keeps all of them on their zero-cost paths. Per-flow
+          [Flow_sample] trace events are at least 10 ms apart. *)
 }
 
 val default_config : rate_bps:float -> base_rtt:Time_ns.t -> duration:Time_ns.t -> config
@@ -157,8 +154,6 @@ and agent_stats = {
   degradations : int;  (** agent-side per-flow quarantine entries *)
   checkpoints_taken : int;  (** agent state snapshots written *)
   warm_restores : int;  (** flows re-registered with snapshot state applied *)
-  quarantine_probes : int;
-      (** [Ready] re-admission probes from quarantine back-off timers *)
   max_queue_wait : Time_ns.t;
       (** longest any dispatched report sat in the overload queue —
           the starvation bound; zero with [agent_overload] off *)

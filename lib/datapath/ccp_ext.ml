@@ -19,15 +19,9 @@ type guard_envelope = {
   min_cwnd_segments : int;
   max_cwnd_bytes : int;
   max_rate_bytes_per_sec : float;
-  min_wait : Time_ns.t;
-  max_eval_steps : int;
   min_report_interval : Time_ns.t;
-  div_storm_unit : int;
-  divergence_limit : float;
   quarantine_after : int;
   quarantine_mode : fallback_mode option;
-  quarantine_backoff : Time_ns.t option;
-  quarantine_backoff_max : Time_ns.t;
 }
 
 let default_guard =
@@ -35,16 +29,26 @@ let default_guard =
     min_cwnd_segments = 1;
     max_cwnd_bytes = 1 lsl 30;
     max_rate_bytes_per_sec = 125e9 (* 1 Tbit/s *);
-    min_wait = Time_ns.us 1;
-    max_eval_steps = 10_000;
     min_report_interval = Time_ns.us 10;
-    div_storm_unit = 50;
-    divergence_limit = 1e18;
     quarantine_after = 50;
     quarantine_mode = None;
-    quarantine_backoff = None;
-    quarantine_backoff_max = Time_ns.sec 5;
   }
+
+(* Guard bounds that are fixed rather than configured. *)
+
+(* Floor on computed waits: a shorter one would spin the datapath at one
+   timestamp. *)
+let min_wait = Time_ns.us 1
+
+(* Program steps per tick. *)
+let max_eval_steps = 10_000
+
+(* Divisions by zero per incident point: isolated div-by-zero is
+   tolerated, a sustained storm scores. *)
+let div_storm_unit = 50
+
+(* Fold state magnitude bound. *)
+let divergence_limit = 1e18
 
 type guard_incidents = {
   mutable cwnd_clamped : int;
@@ -73,34 +77,34 @@ let guard_total g =
   g.cwnd_clamped + g.rate_clamped + g.wait_clamped + g.non_finite + g.div_storms
   + g.report_throttled + g.fold_divergence + g.eval_budget
 
+(* Every counter with its setter and wire kind, in reporting order. *)
+let incident_counters =
+  [
+    ((fun g -> g.cwnd_clamped), (fun g n -> g.cwnd_clamped <- n), Message.Cwnd_clamped);
+    ((fun g -> g.rate_clamped), (fun g n -> g.rate_clamped <- n), Message.Rate_clamped);
+    ((fun g -> g.wait_clamped), (fun g n -> g.wait_clamped <- n), Message.Wait_clamped);
+    ((fun g -> g.non_finite), (fun g n -> g.non_finite <- n), Message.Non_finite);
+    ((fun g -> g.div_storms), (fun g n -> g.div_storms <- n), Message.Div_by_zero_storm);
+    ( (fun g -> g.report_throttled),
+      (fun g n -> g.report_throttled <- n),
+      Message.Report_throttled );
+    ((fun g -> g.fold_divergence), (fun g n -> g.fold_divergence <- n), Message.Fold_divergence);
+    ((fun g -> g.eval_budget), (fun g n -> g.eval_budget <- n), Message.Eval_budget_exhausted);
+  ]
+
+(* The most frequent kind; ties go to the earliest in reporting order. *)
 let dominant_incident g : Message.incident_kind =
-  let counts =
-    [
-      (g.cwnd_clamped, Message.Cwnd_clamped);
-      (g.rate_clamped, Message.Rate_clamped);
-      (g.wait_clamped, Message.Wait_clamped);
-      (g.non_finite, Message.Non_finite);
-      (g.div_storms, Message.Div_by_zero_storm);
-      (g.report_throttled, Message.Report_throttled);
-      (g.fold_divergence, Message.Fold_divergence);
-      (g.eval_budget, Message.Eval_budget_exhausted);
-    ]
-  in
   snd
     (List.fold_left
-       (fun (best, kind) (n, k) -> if n > best then (n, k) else (best, kind))
-       (-1, Message.Cwnd_clamped)
-       counts)
+       (fun (best, kind) (get, _, k) -> if get g > best then (get g, k) else (best, kind))
+       (-1, Message.Cwnd_clamped) incident_counters)
 
 type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
   validate_installs : bool;
-  default_wait : Time_ns.t;
-  max_vector_rows : int;
   flow_capacity : int;
   fallback : fallback option;
-  limits : Limits.t;
   guard : guard_envelope;
 }
 
@@ -109,13 +113,16 @@ let default_config =
     urgent_on_loss = true;
     urgent_on_ecn = false;
     validate_installs = true;
-    default_wait = Time_ns.ms 10;
-    max_vector_rows = 4096;
     flow_capacity = 8;
     fallback = None;
-    limits = Limits.default;
     guard = default_guard;
   }
+
+(* WaitRtts base (and ECN urgent spacing) before the first RTT sample. *)
+let default_wait = Time_ns.ms 10
+
+(* Vector-mode memory bound; overflow rows are dropped and counted. *)
+let max_vector_rows = 4096
 
 type measurement =
   | No_measurement
@@ -127,28 +134,35 @@ type measurement =
       mutable count : int;
     }
 
+(* An admitted program: the source AST (for [installed_program]), the
+   compiled form actually run with its preallocated machine, and where
+   it is in its primitive list. *)
+type running = {
+  program : Ast.program;
+  code : Compile.program;
+  machine : Compile.machine;
+  mutable pc : int;
+  mutable measurement : measurement;
+}
+
+(* Who drives a flow. A stand-in is the native controller of a [Native]
+   mode, [None] in [Clamp] mode. *)
+type owner =
+  | Awaiting_agent
+  | Agent_program of running
+  | Fallback of Congestion_iface.t option
+  | Quarantined of Congestion_iface.t option
+
 type flow_state = {
   ctl : Congestion_iface.ctl;
-  mutable program : Ast.program option;
-      (* the source AST, kept for introspection ([installed_program]) *)
-  mutable exec : (Compile.program * Compile.machine) option;
-      (* the compiled form actually run, with its preallocated machine;
-         set and cleared together with [program] *)
-  mutable pc : int;
+  mutable owner : owner;
   mutable wait_timer : Sim.timer option;
-  mutable measurement : measurement;
   last_rtt_us : float array;
       (* 1-element cell: a [mutable float] in this mixed record would box
          on every store, and this is written on every ACK *)
   mutable last_ecn_urgent : Time_ns.t;
   mutable last_agent_contact : Time_ns.t;
-  mutable fallback_active : bool;
-  mutable fallback_cc : Congestion_iface.t option;
-      (* live native controller instance while a [Native] fallback holds the flow *)
   incidents : Eval.incident_counter;
-  mutable quarantined : bool;
-  mutable quarantine_cc : Congestion_iface.t option;
-      (* live native controller while the guard envelope has the flow quarantined *)
   mutable last_report_at : Time_ns.t option;
   mutable div_baseline : int;
       (* raw eval div-by-zero count at the last guard reset *)
@@ -205,26 +219,30 @@ type t = {
   mutable fallbacks_triggered : int;
   mutable fallback_probes_sent : int;
   mutable quarantines : int;
-  mutable quarantine_probes_sent : int;
   retired_guard : guard_incidents;
       (* incidents from guard windows closed by an accepted re-install *)
   obs : obs_handles option;
   tracer : Ccp_obs.Tracer.t option;
 }
 
+(* Bump one of the pre-resolved counters, when observability is on. *)
+let obs_incr t counter = match t.obs with Some h -> Ccp_obs.Metrics.incr (counter h) | None -> ()
+
 let obs_record t event =
   match t.obs with
   | None -> ()
   | Some h -> Ccp_obs.Obs.record h.obs ~at:(Sim.now t.sim) event
 
-let obs_guard_incident t fs =
+(* Bump a counter and credit the event to the flow's heavy-hitter sketch. *)
+let obs_touch t counter sketch flow =
   match t.obs with
   | None -> ()
   | Some h -> (
-    Ccp_obs.Metrics.incr h.o_guard_incidents;
-    match h.tk_guard with
-    | Some s -> Ccp_obs.Topk.touch s fs.ctl.Congestion_iface.flow
-    | None -> ())
+    Ccp_obs.Metrics.incr (counter h);
+    match sketch h with Some s -> Ccp_obs.Topk.touch s flow | None -> ())
+
+let obs_guard_incident t fs =
+  obs_touch t (fun h -> h.o_guard_incidents) (fun h -> h.tk_guard) fs.ctl.Congestion_iface.flow
 
 (* --- slot tables ---
 
@@ -304,7 +322,7 @@ let reserved_fields fs ~packets =
     ("_packets", float_of_int packets);
   |]
 
-let send_report t fs =
+let send_report t fs r =
   let flow = fs.ctl.Congestion_iface.flow in
   (* A span opens when the datapath decides to report; [Channel.send]
      stamps it as sent, so the start->sent gap is summarize time. *)
@@ -314,7 +332,7 @@ let send_report t fs =
     | Some tr ->
       Ccp_obs.Tracer.start tr ~now:(Sim.now t.sim) ~flow ~kind:Ccp_obs.Tracer.Report_span
   in
-  (match fs.measurement with
+  (match r.measurement with
   | No_measurement ->
     let fields = reserved_fields fs ~packets:0 in
     Channel.send t.channel ~from:Channel.Datapath_end ~span (Message.Report { flow; fields })
@@ -322,11 +340,8 @@ let send_report t fs =
     let packets = Compile.Fold.packet_count fold in
     let fields = Array.append (Compile.Fold.fields fold) (reserved_fields fs ~packets) in
     Channel.send t.channel ~from:Channel.Datapath_end ~span (Message.Report { flow; fields });
-    (match fs.exec with
-    | Some (_, m) ->
-      refresh_flow fs m (Compile.Fold.init_flow_mask (Compile.Fold.plan fold));
-      Compile.Fold.reset fold ~m
-    | None -> ())
+    refresh_flow fs r.machine (Compile.Fold.init_flow_mask (Compile.Fold.plan fold));
+    Compile.Fold.reset fold ~m:r.machine
   | Vector v ->
     let rows = Array.of_list (List.rev v.rows) in
     v.rows <- [];
@@ -334,25 +349,13 @@ let send_report t fs =
     Channel.send t.channel ~from:Channel.Datapath_end ~span
       (Message.Report_vector { flow; columns = v.columns; rows }));
   t.reports_sent <- t.reports_sent + 1;
-  (match t.obs with
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_reports;
-    match h.tk_reports with
-    | Some s -> Ccp_obs.Topk.touch s flow
-    | None -> ())
-  | None -> ());
+  obs_touch t (fun h -> h.o_reports) (fun h -> h.tk_reports) flow;
   obs_record t (Ccp_obs.Recorder.Report_sent { flow; urgent = false })
 
 let send_urgent t fs kind =
   let ctl = fs.ctl in
   t.urgents_sent <- t.urgents_sent + 1;
-  (match t.obs with
-  | Some h -> (
-    Ccp_obs.Metrics.incr h.o_urgents;
-    match h.tk_reports with
-    | Some s -> Ccp_obs.Topk.touch s ctl.Congestion_iface.flow
-    | None -> ())
-  | None -> ());
+  obs_touch t (fun h -> h.o_urgents) (fun h -> h.tk_reports) ctl.Congestion_iface.flow;
   obs_record t
     (Ccp_obs.Recorder.Report_sent { flow = ctl.Congestion_iface.flow; urgent = true });
   let span =
@@ -371,16 +374,47 @@ let send_urgent t fs kind =
          inflight_at_event = ctl.Congestion_iface.inflight ();
        })
 
+(* Registration, and the watchdog's re-handshake probe: a restarted agent
+   re-learns the flow from it. *)
+let send_ready t fs =
+  let ctl = fs.ctl in
+  Channel.send t.channel ~from:Channel.Datapath_end
+    (Message.Ready
+       {
+         flow = ctl.Congestion_iface.flow;
+         mss = ctl.Congestion_iface.mss;
+         init_cwnd = ctl.Congestion_iface.get_cwnd ();
+       })
+
 (* --- program execution --- *)
 
 let cancel_wait fs =
   Option.iter Sim.cancel fs.wait_timer;
   fs.wait_timer <- None
 
+let is_quarantined fs = match fs.owner with Quarantined _ -> true | _ -> false
+
 let eval_flow fs (m : Compile.machine) (code : Compile.code) =
   refresh_flow fs m code.Compile.flow_mask;
   Compile.exec code ~m ~slots:Compile.no_slots ~incidents:fs.incidents;
   m.Compile.stack.(0)
+
+(* Stop the agent's program, disable pacing, and give the flow to the
+   stand-in of [mode]; [owner] wraps the native controller, if any.
+   Watchdog fallback and guard quarantine both enter through here. *)
+let hand_to_stand_in fs mode owner =
+  cancel_wait fs;
+  fs.owner <- owner None;
+  fs.ctl.Congestion_iface.set_rate 0.0;
+  match mode with
+  | Clamp _ -> ()
+  | Native make_cc ->
+    let cc = make_cc () in
+    fs.owner <- owner (Some cc);
+    cc.Congestion_iface.on_init fs.ctl
+
+let clamp_cwnd fs cwnd_segments =
+  fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss)
 
 (* --- runtime guardrails and quarantine --- *)
 
@@ -388,54 +422,17 @@ let eval_flow fs (m : Compile.machine) (code : Compile.code) =
    lifetime) into the current guard window. Division-by-zero only scores
    once per [div_storm_unit] occurrences: isolated div-by-zero is a normal
    hazard of measurement-driven programs, a sustained storm is not. *)
-let absorb_eval_incidents t fs =
+let absorb_eval_incidents fs =
   fs.guard.non_finite <- fs.incidents.Eval.non_finite - fs.nonfinite_baseline;
-  fs.guard.div_storms <-
-    (fs.incidents.Eval.div_by_zero - fs.div_baseline) / t.config.guard.div_storm_unit
+  fs.guard.div_storms <- (fs.incidents.Eval.div_by_zero - fs.div_baseline) / div_storm_unit
 
-(* Backed-off re-admission probes: while the flow sits in quarantine,
-   re-send [Ready] on a doubling timer (capped at
-   [quarantine_backoff_max]) so an agent that can produce a corrected
-   install gets the chance without waiting for a watchdog period — and a
-   persistently hostile agent is probed ever more rarely. The probe chain
-   dies the moment an accepted install clears [fs.quarantined]. *)
-let rec quarantine_probe t fs ~delay =
-  if fs.quarantined then begin
-    t.quarantine_probes_sent <- t.quarantine_probes_sent + 1;
-    Channel.send t.channel ~from:Channel.Datapath_end
-      (Message.Ready
-         {
-           flow = fs.ctl.Congestion_iface.flow;
-           mss = fs.ctl.Congestion_iface.mss;
-           init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-         });
-    let next =
-      Time_ns.min t.config.guard.quarantine_backoff_max (Time_ns.scale delay 2.0)
-    in
-    ignore
-      (Sim.schedule_after t.sim ~delay:next (fun () -> quarantine_probe t fs ~delay:next))
-  end
-
-let quarantine t fs =
-  let g = t.config.guard in
-  fs.quarantined <- true;
+(* The offending program is cancelled outright; only an accepted
+   re-install brings CCP control back. *)
+let quarantine t fs mode =
   t.quarantines <- t.quarantines + 1;
-  (* The offending program is cancelled outright; only an accepted
-     re-install brings CCP control back. *)
-  cancel_wait fs;
-  fs.program <- None;
-  fs.exec <- None;
-  fs.measurement <- No_measurement;
-  fs.ctl.Congestion_iface.set_rate 0.0;
-  (match g.quarantine_mode with
-  | Some (Clamp { cwnd_segments }) ->
-    fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss)
-  | Some (Native make_cc) ->
-    let cc = make_cc () in
-    fs.quarantine_cc <- Some cc;
-    cc.Congestion_iface.on_init fs.ctl
-  | None -> assert false (* only called when a mode is armed *));
-  (match t.obs with Some h -> Ccp_obs.Metrics.incr h.o_quarantines | None -> ());
+  hand_to_stand_in fs mode (fun cc -> Quarantined cc);
+  (match mode with Clamp { cwnd_segments } -> clamp_cwnd fs cwnd_segments | Native _ -> ());
+  obs_incr t (fun h -> h.o_quarantines);
   obs_record t
     (Ccp_obs.Recorder.Quarantine
        {
@@ -449,68 +446,67 @@ let quarantine t fs =
          flow = fs.ctl.Congestion_iface.flow;
          incidents = guard_total fs.guard;
          dominant = dominant_incident fs.guard;
-       });
-  match g.quarantine_backoff with
-  | Some initial ->
-    ignore
-      (Sim.schedule_after t.sim ~delay:initial (fun () -> quarantine_probe t fs ~delay:initial))
-  | None -> ()
+       })
 
 let maybe_quarantine t fs =
   let g = t.config.guard in
   match g.quarantine_mode with
   | None -> ()
-  | Some _ ->
-    if (not fs.quarantined) && g.quarantine_after > 0 && guard_total fs.guard >= g.quarantine_after
-    then quarantine t fs
+  | Some mode ->
+    if
+      (not (is_quarantined fs)) && g.quarantine_after > 0
+      && guard_total fs.guard >= g.quarantine_after
+    then quarantine t fs mode
 
 (* Absorb eval-side incidents and re-check the threshold; call after any
    guarded evaluation or fold step. *)
 let guard_note t fs =
-  absorb_eval_incidents t fs;
+  absorb_eval_incidents fs;
   maybe_quarantine t fs
 
-(* Execute primitives from [fs.pc] until the program blocks on a wait or
-   finishes. The step budget guards against zero-length waits in repeating
-   programs (typecheck rejects wait-free loops, but the datapath cannot
-   trust the agent); every [Cwnd]/[Rate]/[Wait] result passes through the
-   guard envelope before it touches the flow. *)
+(* Execute primitives from the program's [pc] until it blocks on a wait
+   or finishes. The step budget guards against zero-length waits in
+   repeating programs (typecheck rejects wait-free loops, but the
+   datapath cannot trust the agent); every [Cwnd]/[Rate]/[Wait] result
+   passes through the guard envelope before it touches the flow. Each
+   step re-reads [fs.owner]: a quarantine mid-run stops the program. *)
 let rec advance t fs =
   let g = t.config.guard in
-  let budget = ref (max 1 g.max_eval_steps) in
+  let budget = ref max_eval_steps in
   let rec step () =
     decr budget;
     if !budget <= 0 then begin
       fs.guard.eval_budget <- fs.guard.eval_budget + 1;
       obs_guard_incident t fs;
       maybe_quarantine t fs;
-      if not fs.quarantined then
+      if not (is_quarantined fs) then
         fs.wait_timer <-
           Some (Sim.schedule_after t.sim ~delay:(Time_ns.us 1) (fun () ->
                     fs.wait_timer <- None;
                     advance t fs))
     end
     else
-      match fs.exec with
-      | None -> ()
-      | Some (cp, m) ->
-        let prims = cp.Compile.prims in
-        if fs.pc >= Array.length prims then begin
-          if cp.Compile.repeat then begin
-            fs.pc <- 0;
+      match fs.owner with
+      | Awaiting_agent | Fallback _ | Quarantined _ -> ()
+      | Agent_program r ->
+        let m = r.machine in
+        let prims = r.code.Compile.prims in
+        if r.pc >= Array.length prims then begin
+          if r.code.Compile.repeat then begin
+            r.pc <- 0;
             step ()
           end
         end
         else begin
-          let prim = prims.(fs.pc) in
-          fs.pc <- fs.pc + 1;
+          let prim = prims.(r.pc) in
+          r.pc <- r.pc + 1;
           match prim with
           | Compile.Measure_vector { columns; col_idx } ->
-            fs.measurement <- Vector { columns; col_idx; rows = []; count = 0 };
+            r.measurement <- Vector { columns; col_idx; rows = []; count = 0 };
             step ()
           | Compile.Measure_fold plan ->
             refresh_flow fs m (Compile.Fold.init_flow_mask plan);
-            fs.measurement <- Fold_state (Compile.Fold.create plan ~m);
+            r.measurement <- Fold_state (Compile.Fold.create plan ~m);
             step ()
           | Compile.Rate code ->
             let raw = eval_flow fs m code in
@@ -538,23 +534,22 @@ let rec advance t fs =
             let us = Float.max 0.0 (eval_flow fs m code) in
             guard_note t fs;
             let duration = guarded_wait t fs (Time_ns.of_float_sec (us *. 1e-6)) in
-            if not fs.quarantined then block_for t fs duration
+            if not (is_quarantined fs) then block_for t fs duration
           | Compile.Wait_rtts code ->
             let rtts = Float.max 0.0 (eval_flow fs m code) in
             let base =
               match fs.ctl.Congestion_iface.srtt () with
               | Some srtt -> srtt
-              | None -> t.config.default_wait
+              | None -> default_wait
             in
             guard_note t fs;
             let duration = guarded_wait t fs (Time_ns.scale base rtts) in
-            if not fs.quarantined then block_for t fs duration
+            if not (is_quarantined fs) then block_for t fs duration
           | Compile.Report ->
             let now = Sim.now t.sim in
             let throttled =
               match fs.last_report_at with
-              | Some last ->
-                Time_ns.compare (Time_ns.sub now last) t.config.guard.min_report_interval < 0
+              | Some last -> Time_ns.compare (Time_ns.sub now last) g.min_report_interval < 0
               | None -> false
             in
             if throttled then begin
@@ -566,21 +561,22 @@ let rec advance t fs =
             end
             else begin
               fs.last_report_at <- Some now;
-              send_report t fs
+              send_report t fs r
             end;
-            if not fs.quarantined then step ()
+            if not (is_quarantined fs) then step ()
         end
   in
   step ()
 
-(* A computed wait below the envelope floor would spin the simulator (or a
-   real datapath's CPU) at one timestamp; floor it and count the clamp. *)
+(* A computed wait below the [min_wait] floor would spin the simulator
+   (or a real datapath's CPU) at one timestamp; floor it and count the
+   clamp. *)
 and guarded_wait t fs duration =
-  if Time_ns.compare duration t.config.guard.min_wait < 0 then begin
+  if Time_ns.compare duration min_wait < 0 then begin
     fs.guard.wait_clamped <- fs.guard.wait_clamped + 1;
     obs_guard_incident t fs;
     maybe_quarantine t fs;
-    t.config.guard.min_wait
+    min_wait
   end
   else duration
 
@@ -596,22 +592,11 @@ and block_for t fs duration =
    corrected re-install would be re-quarantined on inherited incidents). *)
 let reset_guard_window t fs =
   let g = fs.guard and r = t.retired_guard in
-  r.cwnd_clamped <- r.cwnd_clamped + g.cwnd_clamped;
-  r.rate_clamped <- r.rate_clamped + g.rate_clamped;
-  r.wait_clamped <- r.wait_clamped + g.wait_clamped;
-  r.non_finite <- r.non_finite + g.non_finite;
-  r.div_storms <- r.div_storms + g.div_storms;
-  r.report_throttled <- r.report_throttled + g.report_throttled;
-  r.fold_divergence <- r.fold_divergence + g.fold_divergence;
-  r.eval_budget <- r.eval_budget + g.eval_budget;
-  g.cwnd_clamped <- 0;
-  g.rate_clamped <- 0;
-  g.wait_clamped <- 0;
-  g.non_finite <- 0;
-  g.div_storms <- 0;
-  g.report_throttled <- 0;
-  g.fold_divergence <- 0;
-  g.eval_budget <- 0;
+  List.iter
+    (fun (get, set, _) ->
+      set r (get r + get g);
+      set g 0)
+    incident_counters;
   fs.div_baseline <- fs.incidents.Eval.div_by_zero;
   fs.nonfinite_baseline <- fs.incidents.Eval.non_finite
 
@@ -624,10 +609,15 @@ let send_install_result t fs verdict =
    limits and answers with an [Install_result] either way. An accepted
    install atomically wins the flow back from quarantine. *)
 let install_program t fs program =
-  let verdict =
-    if not t.config.validate_installs then Ok ()
-    else Limits.admit ~limits:t.config.limits program
+  let flow = fs.ctl.Congestion_iface.flow in
+  let reject reason detail =
+    t.installs_rejected <- t.installs_rejected + 1;
+    obs_incr t (fun h -> h.o_installs_rejected);
+    obs_record t (Ccp_obs.Recorder.Install { flow; accepted = false; detail });
+    send_install_result t fs (Message.Rejected { reason; detail });
+    false
   in
+  let verdict = if not t.config.validate_installs then Ok () else Limits.admit program in
   match verdict with
   | Ok () -> (
     (* Compilation is part of admission: a program that names unknown
@@ -636,65 +626,44 @@ let install_program t fs program =
        what it cannot compile — instead of limping along emitting
        unknown-name incidents per packet like the old interpreter. *)
     match Compile.compile program with
-    | Error detail ->
-      t.installs_rejected <- t.installs_rejected + 1;
-      (match t.obs with
-      | Some h -> Ccp_obs.Metrics.incr h.o_installs_rejected
-      | None -> ());
-      obs_record t
-        (Ccp_obs.Recorder.Install
-           { flow = fs.ctl.Congestion_iface.flow; accepted = false; detail });
-      send_install_result t fs (Message.Rejected { reason = Limits.Invalid_program; detail });
-      false
-    | Ok cp ->
+    | Error detail -> reject Limits.Invalid_program detail
+    | Ok code ->
       t.installs_accepted <- t.installs_accepted + 1;
-      (match t.obs with
-      | Some h -> Ccp_obs.Metrics.incr h.o_installs_accepted
-      | None -> ());
-      obs_record t
-        (Ccp_obs.Recorder.Install
-           { flow = fs.ctl.Congestion_iface.flow; accepted = true; detail = "" });
-      if fs.quarantined then begin
-        fs.quarantined <- false;
-        fs.quarantine_cc <- None
-      end;
+      obs_incr t (fun h -> h.o_installs_accepted);
+      obs_record t (Ccp_obs.Recorder.Install { flow; accepted = true; detail = "" });
       reset_guard_window t fs;
       cancel_wait fs;
-      fs.program <- Some program;
-      fs.exec <- Some (cp, Compile.machine_for cp);
-      fs.pc <- 0;
-      fs.measurement <- No_measurement;
+      fs.owner <-
+        Agent_program
+          {
+            program;
+            code;
+            machine = Compile.machine_for code;
+            pc = 0;
+            measurement = No_measurement;
+          };
       send_install_result t fs Message.Accepted;
       advance t fs;
       true)
-  | Error (reason, detail) ->
-    t.installs_rejected <- t.installs_rejected + 1;
-    (match t.obs with
-    | Some h -> Ccp_obs.Metrics.incr h.o_installs_rejected
-    | None -> ());
-    obs_record t
-      (Ccp_obs.Recorder.Install
-         { flow = fs.ctl.Congestion_iface.flow; accepted = false; detail });
-    send_install_result t fs (Message.Rejected { reason; detail });
-    false
+  | Error (reason, detail) -> reject reason detail
 
 (* --- agent -> datapath messages --- *)
 
 let note_agent_contact t fs =
   fs.last_agent_contact <- Sim.now t.sim;
-  if fs.fallback_active then begin
-    (* Agent recovered: the native stand-in releases the flow before the
+  match fs.owner with
+  | Fallback _ ->
+    (* Agent recovered: the stand-in releases the flow before the
        message is applied, so control is handed back atomically. *)
-    fs.fallback_active <- false;
-    fs.fallback_cc <- None;
+    fs.owner <- Awaiting_agent;
     obs_record t
-      (Ccp_obs.Recorder.Fallback
-         { flow = fs.ctl.Congestion_iface.flow; entered = false })
-  end
+      (Ccp_obs.Recorder.Fallback { flow = fs.ctl.Congestion_iface.flow; entered = false })
+  | Awaiting_agent | Agent_program _ | Quarantined _ -> ()
 
 (* Spans close where control is applied. [rx_finish] finalizes the span
-   carried by the message currently being delivered (if any); [rx_actuate]
-   additionally times the actuation itself with the tracer's wall clock. *)
+   carried by the message currently being delivered (if any); [rx_apply]
+   additionally times the actuation itself with the tracer's wall clock,
+   and closes the span as rejected when [apply] reports it refused. *)
 let rx_finish t ~disposition =
   match t.tracer with
   | None -> ()
@@ -703,67 +672,81 @@ let rx_finish t ~disposition =
     if span >= 0 then
       Ccp_obs.Tracer.finish tr span ~now:(Sim.now t.sim) ~disposition ~apply_ns:0.0
 
-let rx_actuate t apply =
+let rx_apply t apply =
   match t.tracer with
-  | None -> apply ()
+  | None -> ignore (apply () : bool)
   | Some tr ->
     let span = Channel.rx_span t.channel in
-    if span < 0 then apply ()
+    if span < 0 then ignore (apply () : bool)
     else begin
       let clock = Ccp_obs.Tracer.wall_clock tr in
       let t0 = clock () in
-      apply ();
+      let applied = apply () in
       Ccp_obs.Tracer.finish tr span ~now:(Sim.now t.sim)
-        ~disposition:Ccp_obs.Tracer.Actuated
+        ~disposition:(if applied then Ccp_obs.Tracer.Actuated else Ccp_obs.Tracer.Rejected)
         ~apply_ns:(Float.max 0.0 (clock () -. t0))
     end
+
+(* Direct knob commands cannot release a quarantine — only an accepted
+   [Install] proves the agent has a corrected program. *)
+let knob_command t flow apply =
+  match Hashtbl.find_opt t.flows flow with
+  | Some fs ->
+    note_agent_contact t fs;
+    if not (is_quarantined fs) then
+      rx_apply t (fun () ->
+          apply fs.ctl;
+          true)
+    else rx_finish t ~disposition:Ccp_obs.Tracer.No_action
+  | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action
 
 let on_message t (msg : Message.t) =
   match msg with
   | Message.Install { flow; program } -> (
     match Hashtbl.find_opt t.flows flow with
-    | Some fs -> (
-      note_agent_contact t fs;
-      match t.tracer with
-      | None -> ignore (install_program t fs program : bool)
-      | Some tr ->
-        let span = Channel.rx_span t.channel in
-        if span < 0 then ignore (install_program t fs program : bool)
-        else begin
-          let clock = Ccp_obs.Tracer.wall_clock tr in
-          let t0 = clock () in
-          let accepted = install_program t fs program in
-          Ccp_obs.Tracer.finish tr span ~now:(Sim.now t.sim)
-            ~disposition:
-              (if accepted then Ccp_obs.Tracer.Actuated else Ccp_obs.Tracer.Rejected)
-            ~apply_ns:(Float.max 0.0 (clock () -. t0))
-        end)
-    | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action)
-  | Message.Set_cwnd { flow; bytes } -> (
-    match Hashtbl.find_opt t.flows flow with
     | Some fs ->
       note_agent_contact t fs;
-      (* Direct knob commands cannot release a quarantine — only an
-         accepted [Install] proves the agent has a corrected program. *)
-      if not fs.quarantined then
-        rx_actuate t (fun () -> fs.ctl.Congestion_iface.set_cwnd bytes)
-      else rx_finish t ~disposition:Ccp_obs.Tracer.No_action
+      rx_apply t (fun () -> install_program t fs program)
     | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action)
-  | Message.Set_rate { flow; bytes_per_sec } -> (
-    match Hashtbl.find_opt t.flows flow with
-    | Some fs ->
-      note_agent_contact t fs;
-      if not fs.quarantined then
-        rx_actuate t (fun () ->
-            fs.ctl.Congestion_iface.set_rate (Float.max 0.0 bytes_per_sec))
-      else rx_finish t ~disposition:Ccp_obs.Tracer.No_action
-    | None -> rx_finish t ~disposition:Ccp_obs.Tracer.No_action)
+  | Message.Set_cwnd { flow; bytes } ->
+    knob_command t flow (fun ctl -> ctl.Congestion_iface.set_cwnd bytes)
+  | Message.Set_rate { flow; bytes_per_sec } ->
+    knob_command t flow (fun ctl -> ctl.Congestion_iface.set_rate (Float.max 0.0 bytes_per_sec))
   | Message.Ready _ | Message.Report _ | Message.Report_vector _ | Message.Urgent _
   | Message.Closed _ | Message.Install_result _ | Message.Quarantined _ ->
     (* Agent-bound traffic is never delivered to the datapath end. *)
     ()
 
+(* Same contract as [Agent.create] and [Channel.create]: a setting the
+   datapath cannot honour is refused up front, naming the field. *)
+let check_config (config : config) =
+  let bad fmt = Printf.ksprintf (fun msg -> invalid_arg ("Ccp_ext.create: " ^ msg)) fmt in
+  let check_mode field = function
+    | Clamp { cwnd_segments } when cwnd_segments < 1 ->
+      bad "%s Clamp cwnd_segments must be >= 1 (got %d)" field cwnd_segments
+    | Clamp _ | Native _ -> ()
+  in
+  let g = config.guard in
+  if g.min_cwnd_segments < 1 then
+    bad "guard.min_cwnd_segments must be >= 1 (got %d)" g.min_cwnd_segments;
+  if not (g.max_rate_bytes_per_sec > 0.0) then
+    bad "guard.max_rate_bytes_per_sec must be > 0 (got %g)" g.max_rate_bytes_per_sec;
+  if g.min_report_interval < 0 then
+    bad "guard.min_report_interval must be >= 0 (got %s)" (Time_ns.to_string g.min_report_interval);
+  if g.quarantine_after < 0 then
+    bad "guard.quarantine_after must be >= 0 (got %d)" g.quarantine_after;
+  Option.iter (check_mode "guard.quarantine_mode") g.quarantine_mode;
+  Option.iter
+    (fun fb ->
+      (* The watchdog re-arms itself [after] later: zero would fire it
+         forever at one instant. *)
+      if not (Time_ns.is_positive fb.after) then
+        bad "fallback.after must be > 0 (got %s)" (Time_ns.to_string fb.after);
+      check_mode "fallback.mode" fb.mode)
+    config.fallback
+
 let create ~sim ~channel ?(config = default_config) ?obs () =
+  check_config config;
   let t =
     {
       sim;
@@ -778,7 +761,6 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
       fallbacks_triggered = 0;
       fallback_probes_sent = 0;
       quarantines = 0;
-      quarantine_probes_sent = 0;
       retired_guard = fresh_guard_incidents ();
       obs = Option.map make_obs_handles obs;
       tracer = (match obs with Some o -> o.Ccp_obs.Obs.tracer | None -> None);
@@ -795,84 +777,42 @@ let create ~sim ~channel ?(config = default_config) ?obs () =
    re-applies it on every tick while the silence lasts (an
    installed-but-orphaned program could keep adjusting the knobs between
    ticks). [Native] instantiates an in-datapath controller that takes over
-   ACK and loss handling until the agent returns. In either mode, every
-   tick spent in fallback re-sends [Ready] — a cheap re-handshake probe so
-   a restarted agent re-learns the flow and can reclaim it. *)
+   ACK and loss handling until the agent returns. Every tick that finds
+   the agent silent re-sends [Ready] — a cheap re-handshake probe so a
+   restarted agent re-learns the flow and can reclaim it. Quarantine
+   supersedes the watchdog: the guard envelope already holds the flow, so
+   a quarantined flow is only probed. *)
 let rec watchdog_tick t fs (fb : fallback) =
   let silence = Time_ns.sub (Sim.now t.sim) fs.last_agent_contact in
-  if fs.quarantined then begin
-    (* Quarantine supersedes the watchdog: the guard envelope already holds
-       the flow. Still probe a silent agent so a restarted one re-learns
-       the flow and can send the corrected install. *)
-    if Time_ns.compare silence fb.after >= 0 then begin
-      t.fallback_probes_sent <- t.fallback_probes_sent + 1;
-      Channel.send t.channel ~from:Channel.Datapath_end
-        (Message.Ready
-           {
-             flow = fs.ctl.Congestion_iface.flow;
-             mss = fs.ctl.Congestion_iface.mss;
-             init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-           })
-    end;
-    ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
-  end
-  else begin
   if Time_ns.compare silence fb.after >= 0 then begin
-    if not fs.fallback_active then begin
-      fs.fallback_active <- true;
+    (match fs.owner with
+    | Quarantined _ | Fallback _ -> ()
+    | Awaiting_agent | Agent_program _ ->
       t.fallbacks_triggered <- t.fallbacks_triggered + 1;
-      (match t.obs with Some h -> Ccp_obs.Metrics.incr h.o_fallbacks | None -> ());
+      obs_incr t (fun h -> h.o_fallbacks);
       obs_record t
-        (Ccp_obs.Recorder.Fallback
-           { flow = fs.ctl.Congestion_iface.flow; entered = true });
-      (* Stop executing the orphaned program. *)
-      cancel_wait fs;
-      fs.program <- None;
-      fs.exec <- None;
-      fs.measurement <- No_measurement;
-      fs.ctl.Congestion_iface.set_rate 0.0;
-      match fb.mode with
-      | Clamp _ -> ()
-      | Native make_cc ->
-        let cc = make_cc () in
-        fs.fallback_cc <- Some cc;
-        cc.Congestion_iface.on_init fs.ctl
-    end;
-    (match fb.mode with
-    | Clamp { cwnd_segments } ->
-      fs.ctl.Congestion_iface.set_cwnd (cwnd_segments * fs.ctl.Congestion_iface.mss);
+        (Ccp_obs.Recorder.Fallback { flow = fs.ctl.Congestion_iface.flow; entered = true });
+      hand_to_stand_in fs fb.mode (fun cc -> Fallback cc));
+    (match (fs.owner, fb.mode) with
+    | Fallback _, Clamp { cwnd_segments } ->
+      clamp_cwnd fs cwnd_segments;
       fs.ctl.Congestion_iface.set_rate 0.0
-    | Native _ -> ());
+    | _ -> ());
     t.fallback_probes_sent <- t.fallback_probes_sent + 1;
-    Channel.send t.channel ~from:Channel.Datapath_end
-      (Message.Ready
-         {
-           flow = fs.ctl.Congestion_iface.flow;
-           mss = fs.ctl.Congestion_iface.mss;
-           init_cwnd = fs.ctl.Congestion_iface.get_cwnd ();
-         })
+    send_ready t fs
   end;
-  ignore
-    (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
-  end
+  ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
 
 let on_init t ctl =
   let fs =
     {
       ctl;
-      program = None;
-      exec = None;
-      pc = 0;
+      owner = Awaiting_agent;
       wait_timer = None;
-      measurement = No_measurement;
       last_rtt_us = [| 0.0 |];
       last_ecn_urgent = Time_ns.zero;
       last_agent_contact = Sim.now t.sim;
-      fallback_active = false;
-      fallback_cc = None;
       incidents = Eval.fresh_counter ();
-      quarantined = false;
-      quarantine_cc = None;
       last_report_at = None;
       div_baseline = 0;
       nonfinite_baseline = 0;
@@ -883,39 +823,36 @@ let on_init t ctl =
   (match t.config.fallback with
   | Some fb -> ignore (Sim.schedule_after t.sim ~delay:fb.after (fun () -> watchdog_tick t fs fb))
   | None -> ());
-  Channel.send t.channel ~from:Channel.Datapath_end
-    (Message.Ready
-       {
-         flow = ctl.Congestion_iface.flow;
-         mss = ctl.Congestion_iface.mss;
-         init_cwnd = ctl.Congestion_iface.get_cwnd ();
-       })
+  send_ready t fs
 
 (* The per-ACK fast path: refresh only the flow slots the update code
    reads, copy the packet into the slot table, and run the compiled
    fold — no strings, no closures, no allocation. *)
 let record_measurement t fs (ev : Congestion_iface.ack_event) ~bytes_lost =
-  match (fs.measurement, fs.exec) with
-  | No_measurement, _ | _, None -> ()
-  | Fold_state fold, Some (_, m) ->
-    let plan = Compile.Fold.plan fold in
-    refresh_flow fs m (Compile.Fold.step_flow_mask plan);
-    refresh_pkt m ev ~bytes_lost;
-    Compile.Fold.step fold ~m ~incidents:fs.incidents;
-    if Compile.Fold.diverged fold ~limit:t.config.guard.divergence_limit then begin
-      fs.guard.fold_divergence <- fs.guard.fold_divergence + 1;
-      obs_guard_incident t fs
-    end;
-    guard_note t fs
-  | Vector v, Some (_, m) ->
-    if v.count >= t.config.max_vector_rows then
-      t.vector_rows_dropped <- t.vector_rows_dropped + 1
-    else begin
+  match fs.owner with
+  | Awaiting_agent | Fallback _ | Quarantined _ -> ()
+  | Agent_program r -> (
+    let m = r.machine in
+    match r.measurement with
+    | No_measurement -> ()
+    | Fold_state fold ->
+      let plan = Compile.Fold.plan fold in
+      refresh_flow fs m (Compile.Fold.step_flow_mask plan);
       refresh_pkt m ev ~bytes_lost;
-      let row = Array.map (fun i -> m.Compile.pkt.(i)) v.col_idx in
-      v.rows <- row :: v.rows;
-      v.count <- v.count + 1
-    end
+      Compile.Fold.step fold ~m ~incidents:fs.incidents;
+      if Compile.Fold.diverged fold ~limit:divergence_limit then begin
+        fs.guard.fold_divergence <- fs.guard.fold_divergence + 1;
+        obs_guard_incident t fs
+      end;
+      guard_note t fs
+    | Vector v ->
+      if v.count >= max_vector_rows then t.vector_rows_dropped <- t.vector_rows_dropped + 1
+      else begin
+        refresh_pkt m ev ~bytes_lost;
+        let row = Array.map (fun i -> m.Compile.pkt.(i)) v.col_idx in
+        v.rows <- row :: v.rows;
+        v.count <- v.count + 1
+      end)
 
 (* The CCP half of the per-ACK fast path, after control-ownership
    dispatch. Kept allocation-free when [t.obs = None]; with observability
@@ -937,7 +874,7 @@ let on_ack_ccp t fs ctl (ev : Congestion_iface.ack_event) =
     let interval =
       match ctl.Congestion_iface.srtt () with
       | Some srtt -> srtt
-      | None -> t.config.default_wait
+      | None -> default_wait
     in
     if Time_ns.compare (Time_ns.sub ev.now fs.last_ecn_urgent) interval >= 0 then begin
       fs.last_ecn_urgent <- ev.now;
@@ -945,55 +882,43 @@ let on_ack_ccp t fs ctl (ev : Congestion_iface.ack_event) =
     end
   end
 
+(* A native stand-in owns the flow outright: no measurement aggregation
+   and no urgents while it holds it. A clamp quarantine pins the window
+   and rides out the episode; a clamp fallback keeps the CCP path, so
+   losses still reach the agent the moment it returns. *)
 let on_ack t ctl (ev : Congestion_iface.ack_event) =
   (* [Hashtbl.find] + exception instead of [find_opt]: the option would be
      a fresh allocation on every ACK. *)
   match Hashtbl.find t.flows ctl.Congestion_iface.flow with
   | exception Not_found -> ()
-  | fs ->
-    if fs.quarantined then (
-      (* The quarantine controller owns the flow until an accepted
-         re-install; no measurement aggregation, no urgents. Clamp-mode
-         quarantine ([quarantine_cc = None]) pins the window and rides
-         out the episode. *)
-      match fs.quarantine_cc with
-      | Some cc -> cc.Congestion_iface.on_ack ctl ev
-      | None -> ())
-    else (
-      match fs.fallback_cc with
-      | Some cc when fs.fallback_active ->
-        (* The native stand-in owns the flow; no measurement aggregation
-           and no urgents while the agent is out. *)
-        cc.Congestion_iface.on_ack ctl ev
-      | Some _ | None -> on_ack_ccp t fs ctl ev)
+  | fs -> (
+    match fs.owner with
+    | Quarantined (Some cc) | Fallback (Some cc) -> cc.Congestion_iface.on_ack ctl ev
+    | Quarantined None -> ()
+    | Awaiting_agent | Agent_program _ | Fallback None -> on_ack_ccp t fs ctl ev)
 
 let on_loss t ctl (loss : Congestion_iface.loss_event) =
   match Hashtbl.find_opt t.flows ctl.Congestion_iface.flow with
   | None -> ()
-  | Some { quarantined = true; quarantine_cc = Some cc; _ } ->
-    cc.Congestion_iface.on_loss ctl loss
-  | Some { quarantined = true; _ } -> (
+  | Some fs -> (
+    match (fs.owner, loss.kind) with
+    | (Quarantined (Some cc) | Fallback (Some cc)), _ -> cc.Congestion_iface.on_loss ctl loss
     (* Clamp-mode quarantine keeps the kernel-style RTO collapse but sends
        no urgent: the agent lost the flow until it re-installs. *)
-    match loss.kind with
-    | Congestion_iface.Rto -> ctl.Congestion_iface.set_cwnd ctl.Congestion_iface.mss
-    | Congestion_iface.Dup_acks -> ())
-  | Some { fallback_active = true; fallback_cc = Some cc; _ } ->
-    cc.Congestion_iface.on_loss ctl loss
-  | Some fs -> (
-    match loss.kind with
-    | Congestion_iface.Rto ->
+    | Quarantined None, Congestion_iface.Rto ->
+      ctl.Congestion_iface.set_cwnd ctl.Congestion_iface.mss
+    | Quarantined None, Congestion_iface.Dup_acks -> ()
+    | (Awaiting_agent | Agent_program _ | Fallback None), Congestion_iface.Rto ->
       (* Kernel-style safety: a timeout collapses the window in the
          datapath itself; the agent will reprogram when it reacts. *)
       ctl.Congestion_iface.set_cwnd ctl.Congestion_iface.mss;
       if t.config.urgent_on_loss then send_urgent t fs Message.Timeout
-    | Congestion_iface.Dup_acks ->
+    | (Awaiting_agent | Agent_program _ | Fallback None), Congestion_iface.Dup_acks ->
       if t.config.urgent_on_loss then send_urgent t fs Message.Dup_ack_loss)
 
 let on_exit_recovery t ctl =
   match Hashtbl.find_opt t.flows ctl.Congestion_iface.flow with
-  | Some { quarantined = true; quarantine_cc = Some cc; _ }
-  | Some { quarantined = false; fallback_active = true; fallback_cc = Some cc; _ } ->
+  | Some { owner = Quarantined (Some cc) | Fallback (Some cc); _ } ->
     cc.Congestion_iface.on_exit_recovery ctl
   | Some _ | None -> ()
 
@@ -1006,39 +931,24 @@ let congestion_control t : Congestion_iface.t =
     on_exit_recovery = on_exit_recovery t;
   }
 
-let installed_program t ~flow =
-  Option.bind (Hashtbl.find_opt t.flows flow) (fun fs -> fs.program)
+let owner_of t ~flow = Option.map (fun fs -> fs.owner) (Hashtbl.find_opt t.flows flow)
 
+let installed_program t ~flow =
+  match owner_of t ~flow with Some (Agent_program r) -> Some r.program | _ -> None
+
+let has_compiled_program t ~flow =
+  match owner_of t ~flow with Some (Agent_program _) -> true | _ -> false
+
+let in_fallback t ~flow = match owner_of t ~flow with Some (Fallback _) -> true | _ -> false
+let in_quarantine t ~flow = match owner_of t ~flow with Some (Quarantined _) -> true | _ -> false
 let reports_sent t = t.reports_sent
 let urgents_sent t = t.urgents_sent
 let installs_accepted t = t.installs_accepted
 let installs_rejected t = t.installs_rejected
 let vector_rows_dropped t = t.vector_rows_dropped
-
-let eval_incidents t ~flow =
-  Option.map (fun fs -> fs.incidents) (Hashtbl.find_opt t.flows flow)
-
 let fallbacks_triggered t = t.fallbacks_triggered
 let fallback_probes_sent t = t.fallback_probes_sent
-
-let in_fallback t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs.fallback_active
-  | None -> false
-
 let quarantines_triggered t = t.quarantines
-let quarantine_probes_sent t = t.quarantine_probes_sent
-
-let has_compiled_program t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs.exec <> None
-  | None -> false
-
-let in_quarantine t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fs -> fs.quarantined
-  | None -> false
-
 let guard_incidents t ~flow = Option.map (fun fs -> fs.guard) (Hashtbl.find_opt t.flows flow)
 
 let guard_incident_total t =
@@ -1046,11 +956,11 @@ let guard_incident_total t =
 
 type controller = Agent_program | Native_fallback | Quarantined | Awaiting_agent
 
-let controller t ~flow =
+let controller t ~flow : controller option =
   Option.map
-    (fun fs ->
-      if fs.quarantined then Quarantined
-      else if fs.fallback_active then Native_fallback
-      else if fs.program <> None then Agent_program
-      else Awaiting_agent)
-    (Hashtbl.find_opt t.flows flow)
+    (function
+      | (Awaiting_agent : owner) -> Awaiting_agent
+      | Agent_program _ -> Agent_program
+      | Fallback _ -> Native_fallback
+      | Quarantined _ -> Quarantined)
+    (owner_of t ~flow)

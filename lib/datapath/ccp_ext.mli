@@ -60,35 +60,25 @@ val native_fallback : after:Time_ns.t -> (unit -> Congestion_iface.t) -> fallbac
     reaches [quarantine_after] and a [quarantine_mode] is armed, the
     program is cancelled, the mode takes the flow (exactly like a watchdog
     fallback episode), and the agent is told via [Quarantined]. Only a
-    subsequently {e accepted} [Install] wins the flow back. *)
+    subsequently {e accepted} [Install] wins the flow back.
+
+    Four bounds are fixed rather than configured: a 1 us floor on
+    {e computed} waits, 10k program steps per tick, one incident point
+    per 50 divisions by zero, and a 1e18 bound on fold state. *)
 type guard_envelope = {
-  min_cwnd_segments : int;  (** cwnd floor, in segments (× mss) *)
+  min_cwnd_segments : int;  (** cwnd floor, in segments (× mss); at least 1 *)
   max_cwnd_bytes : int;  (** cwnd ceiling *)
-  max_rate_bytes_per_sec : float;  (** pacing-rate ceiling *)
-  min_wait : Time_ns.t;
-      (** floor on {e computed} waits; a shorter wait would spin the
-          datapath at one timestamp *)
-  max_eval_steps : int;  (** per-tick program-step budget *)
-  min_report_interval : Time_ns.t;  (** report rate limiter *)
-  div_storm_unit : int;
-      (** divisions-by-zero per incident point: isolated div-by-zero is
-          tolerated, a sustained storm scores *)
-  divergence_limit : float;  (** fold state magnitude bound *)
-  quarantine_after : int;  (** incident score that triggers quarantine *)
+  max_rate_bytes_per_sec : float;  (** pacing-rate ceiling; positive *)
+  min_report_interval : Time_ns.t;  (** report rate limiter; non-negative *)
+  quarantine_after : int;
+      (** incident score that triggers quarantine; non-negative, 0 never
+          quarantines *)
   quarantine_mode : fallback_mode option;  (** [None] = count but never quarantine *)
-  quarantine_backoff : Time_ns.t option;
-      (** when set, a quarantined flow re-sends [Ready] on a doubling
-          timer starting at this delay, inviting the agent to win the
-          flow back with a corrected install; [None] (the default) leaves
-          re-admission to the watchdog's silence-driven probes *)
-  quarantine_backoff_max : Time_ns.t;  (** cap on the probe back-off *)
 }
 
 val default_guard : guard_envelope
-(** 1-segment cwnd floor, 1 GiB ceiling, 1 Tbit/s rate ceiling, 1 us wait
-    floor, 10k steps per tick, 10 us report interval, 50 div-by-zero per
-    point, 1e18 fold bound, quarantine at 50 with no mode armed, no
-    back-off probes (5 s cap when armed). *)
+(** 1-segment cwnd floor, 1 GiB ceiling, 1 Tbit/s rate ceiling, 10 us
+    report interval, quarantine at 50 with no mode armed. *)
 
 (** Per-flow incident counters, one per {!Ccp_ipc.Message.incident_kind}.
     Mutable for the datapath's own accounting; treat as read-only. *)
@@ -106,33 +96,37 @@ type guard_incidents = {
 val guard_total : guard_incidents -> int
 (** The flow's incident score: the plain sum of the counters. *)
 
+(** Fixed rather than configured: [WaitRtts] waits on a 10 ms base
+    before the first RTT sample, a vector measurement holds at most 4096
+    rows per report (overflow rows are dropped and counted), and
+    admission uses {!Ccp_lang.Limits.default}. *)
 type config = {
   urgent_on_loss : bool;
   urgent_on_ecn : bool;
   validate_installs : bool;
       (** run admission ({!Ccp_lang.Limits.admit}) on every [Install] *)
-  default_wait : Time_ns.t;  (** WaitRtts fallback before the first RTT sample *)
-  max_vector_rows : int;  (** vector-mode memory bound; overflow rows are dropped and counted *)
   flow_capacity : int;
       (** expected concurrent flows — sizes the flow table up front so an
           incast of thousands of registrations does not rehash its way up
           from a tiny table (default 8) *)
   fallback : fallback option;
-  limits : Ccp_lang.Limits.t;  (** static admission limits *)
   guard : guard_envelope;
 }
 
 val default_config : config
-(** Loss urgent on, ECN urgent off, validation on, 10 ms default wait,
-    4096-row vectors, 8-flow table hint, watchdog disabled,
-    {!Ccp_lang.Limits.default} admission limits, {!default_guard}
-    envelope. *)
+(** Loss urgent on, ECN urgent off, validation on, 8-flow table hint,
+    watchdog disabled, {!default_guard} envelope. *)
 
 type t
 
 val create :
   sim:Sim.t -> channel:Channel.t -> ?config:config -> ?obs:Ccp_obs.Obs.t -> unit -> t
-(** Registers itself as the channel's datapath-side endpoint. With [obs]
+(** Registers itself as the channel's datapath-side endpoint. Raises
+    [Invalid_argument], naming the field, for a guard envelope or
+    fallback the datapath cannot honour: a cwnd floor below one segment,
+    a rate ceiling that is not positive, a negative report interval or
+    quarantine threshold, a [Clamp] window below one segment, or a
+    fallback [after] that is not positive. With [obs]
     the extension publishes install/guard/quarantine/fallback/report
     counters, times the per-ACK measurement step into the
     [datapath.fold_step_ns] histogram, and records Install, Quarantine,
@@ -151,7 +145,6 @@ val urgents_sent : t -> int
 val installs_accepted : t -> int
 val installs_rejected : t -> int
 val vector_rows_dropped : t -> int
-val eval_incidents : t -> flow:int -> Ccp_lang.Eval.incident_counter option
 
 val fallbacks_triggered : t -> int
 
@@ -162,9 +155,6 @@ val in_fallback : t -> flow:int -> bool
 
 val quarantines_triggered : t -> int
 (** Guard-envelope quarantines entered across all flows. *)
-
-val quarantine_probes_sent : t -> int
-(** [Ready] re-admission probes emitted by [quarantine_backoff] timers. *)
 
 val in_quarantine : t -> flow:int -> bool
 
@@ -183,11 +173,12 @@ val guard_incident_total : t -> int
     datapath-wide "how badly were we abused" number for experiment
     stats. *)
 
-(** Who is driving a flow right now. The datapath maintains the invariant
-    that exactly one party controls each flow: an installed agent program,
-    an active native fallback, and a quarantine are mutually exclusive by
-    construction ([Awaiting_agent] covers the startup window before the
-    first install, when the flow still runs at its initial window). *)
+(** Who is driving a flow right now. Each flow holds a single owner
+    value, so exactly one party controls it: an installed agent program,
+    a watchdog fallback (reported as [Native_fallback] in either mode),
+    or a quarantine. [Awaiting_agent] covers the startup window before
+    the first install, and the time after a fallback ends and before the
+    next install. *)
 type controller = Agent_program | Native_fallback | Quarantined | Awaiting_agent
 
 val controller : t -> flow:int -> controller option

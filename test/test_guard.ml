@@ -345,6 +345,104 @@ let test_unrecovered_attacker_stays_quarantined () =
     (p.Scenarios.Hostile.utilization > 0.2);
   Alcotest.(check bool) "cwnd floor held" true (p.Scenarios.Hostile.min_cwnd_seen >= 1448)
 
+(* --- out-of-range settings are refused up front --- *)
+
+let check_refused what ~field config =
+  let sim = Sim.create () in
+  let channel =
+    Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ()
+  in
+  match Ccp_ext.create ~sim ~channel ~config () with
+  | _ -> Alcotest.failf "%s: accepted, expected Invalid_argument naming %s" what field
+  | exception Invalid_argument msg ->
+    if not (contains ~sub:field msg) then
+      Alcotest.failf "%s: message %S does not name %s" what msg field
+
+let test_create_rejects_bad_settings () =
+  let guard g = { Ccp_ext.default_config with guard = g } in
+  let dg = Ccp_ext.default_guard in
+  check_refused "zero cwnd floor" ~field:"min_cwnd_segments"
+    (guard { dg with min_cwnd_segments = 0 });
+  check_refused "negative cwnd floor" ~field:"min_cwnd_segments"
+    (guard { dg with min_cwnd_segments = -3 });
+  check_refused "zero rate ceiling" ~field:"max_rate_bytes_per_sec"
+    (guard { dg with max_rate_bytes_per_sec = 0.0 });
+  check_refused "negative rate ceiling" ~field:"max_rate_bytes_per_sec"
+    (guard { dg with max_rate_bytes_per_sec = -5.0 });
+  check_refused "NaN rate ceiling" ~field:"max_rate_bytes_per_sec"
+    (guard { dg with max_rate_bytes_per_sec = Float.nan });
+  check_refused "negative report interval" ~field:"min_report_interval"
+    (guard { dg with min_report_interval = Time_ns.us (-1) });
+  check_refused "negative quarantine threshold" ~field:"quarantine_after"
+    (guard { dg with quarantine_after = -1 });
+  check_refused "clamp quarantine below a segment" ~field:"cwnd_segments"
+    (guard { dg with quarantine_mode = Some (Ccp_ext.Clamp { cwnd_segments = 0 }) });
+  check_refused "clamp fallback below a segment" ~field:"cwnd_segments"
+    { Ccp_ext.default_config with
+      fallback = Some (Ccp_ext.clamp_fallback ~after:(Time_ns.ms 50) ~cwnd_segments:0) };
+  check_refused "zero fallback period" ~field:"fallback.after"
+    { Ccp_ext.default_config with
+      fallback = Some (Ccp_ext.clamp_fallback ~after:Time_ns.zero ~cwnd_segments:2) };
+  check_refused "negative fallback period" ~field:"fallback.after"
+    { Ccp_ext.default_config with
+      fallback =
+        Some (Ccp_ext.native_fallback ~after:(Time_ns.ms (-1)) Ccp_algorithms.Native_reno.create) };
+  (* The boundary values themselves are fine. *)
+  let sim = Sim.create () in
+  let channel =
+    Ccp_ipc.Channel.create ~sim ~latency:(Ccp_ipc.Latency_model.Constant (Time_ns.us 20)) ()
+  in
+  ignore
+    (Ccp_ext.create ~sim ~channel
+       ~config:
+         {
+           Ccp_ext.default_config with
+           fallback = Some (Ccp_ext.clamp_fallback ~after:(Time_ns.ns 1) ~cwnd_segments:1);
+           guard = { dg with min_report_interval = Time_ns.zero; quarantine_after = 0 };
+         }
+       ()
+      : Ccp_ext.t)
+
+(* The CLI checks the same settings before any simulation runs. The
+   binary sits next to the test's build directory under dune, or under
+   _build when the suite runs from the repository root. *)
+let ccp_sim_exe () =
+  List.find_opt Sys.file_exists [ "../bin/ccp_sim.exe"; "_build/default/bin/ccp_sim.exe" ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_cli_rejects_bad_flags () =
+  match ccp_sim_exe () with
+  | None -> Alcotest.fail "ccp_sim.exe not built"
+  | Some exe ->
+    List.iter
+      (fun (arg, flag) ->
+        let out = Filename.temp_file "ccp_sim" ".out" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s run --flows ccp-bbr --duration 1 %s > %s 2>&1"
+               (Filename.quote exe) arg (Filename.quote out))
+        in
+        let text = read_file out in
+        Sys.remove out;
+        Alcotest.(check int) (arg ^ ": exit status") 1 code;
+        Alcotest.(check bool) (arg ^ ": names " ^ flag) true (contains ~sub:flag text);
+        Alcotest.(check bool) (arg ^ ": no simulation ran") false
+          (contains ~sub:"utilization" text))
+      [
+        ("--guard-max-rate=-5", "--guard-max-rate");
+        ("--guard-max-rate=0", "--guard-max-rate");
+        ("--guard-min-cwnd=0", "--guard-min-cwnd");
+        ("--guard-report-interval=-1", "--guard-report-interval");
+        ("--guard-quarantine=-1", "--guard-quarantine");
+        ("--fallback-rtts=-1", "--fallback-rtts");
+        ("--fallback-rtts=1e-12", "--fallback-rtts");
+      ]
+
 let suite =
   [
     ( "guard.admission",
@@ -362,6 +460,13 @@ let suite =
           test_guard_clamps_cwnd_and_rate;
         Alcotest.test_case "report rate limiter" `Quick test_report_rate_limiter;
         Alcotest.test_case "quarantine and recovery lifecycle" `Quick test_quarantine_lifecycle;
+      ] );
+    ( "guard.config",
+      [
+        Alcotest.test_case "create refuses out-of-range settings" `Quick
+          test_create_rejects_bad_settings;
+        Alcotest.test_case "ccp_sim run refuses out-of-range flags" `Quick
+          test_cli_rejects_bad_flags;
       ] );
     ( "guard.e2e",
       [
