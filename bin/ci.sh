@@ -175,6 +175,13 @@ echo "== benchmark workloads match scenarios =="
 # fail here rather than in the benchmark (~45 s).
 dune exec perfbench/test/match_scenarios.exe -- 42
 
+echo "== fig3 digest =="
+# Figure 3 at 1 Gbit/s through the benchmark runner: it exits 1 if the
+# seed-42 output digest or the report/install identities drift from the
+# committed ones. One iteration takes about 1 s; a regression back to
+# per-ACK scoreboard scans (fig3 at ~3.7 s/s) takes about 7 s.
+python3 perfbench/run.py --workload fig3-cubic-1g --seed 42 --seconds 1 --trace 0
+
 echo "== scale bench smoke =="
 # The slot-pool churn and batched-report amortization benchmarks: the
 # driver itself exits non-zero if registration churn allocates per-flow

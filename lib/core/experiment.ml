@@ -109,6 +109,8 @@ type flow_result = {
   timeouts : int;
   recoveries : int;
   final_cwnd : int;
+  acks_received : int;
+  retx_scan_steps : int;
 }
 
 type result = {
@@ -435,6 +437,8 @@ let run (config : config) =
           timeouts = Tcp_flow.timeouts inst.sender;
           recoveries = Tcp_flow.recoveries inst.sender;
           final_cwnd = Tcp_flow.cwnd inst.sender;
+          acks_received = Tcp_flow.acks_received inst.sender;
+          retx_scan_steps = Tcp_flow.retx_scan_steps inst.sender;
         })
       flows_only
   in

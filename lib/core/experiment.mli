@@ -112,6 +112,10 @@ type flow_result = {
   timeouts : int;
   recoveries : int;
   final_cwnd : int;
+  acks_received : int;
+  retx_scan_steps : int;
+      (** segments the lost-retransmission check examined, at most
+          {!Tcp_flow.max_retx_scan} per ACK *)
 }
 
 type result = {

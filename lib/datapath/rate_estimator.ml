@@ -17,6 +17,9 @@ type snapshot = {
   delivered_time_before : Time_ns.t;
 }
 
+let empty_snapshot =
+  { sent_at = Time_ns.zero; sent_before = 0; delivered_before = 0; delivered_time_before = Time_ns.zero }
+
 type rates = { send_rate : float option; delivery_rate : float option }
 
 let create ?(ewma_alpha = 0.125) ?delivery_transform () =

@@ -16,6 +16,10 @@ type snapshot
 (** Counter state captured at transmit time; stored with the in-flight
     segment. *)
 
+val empty_snapshot : snapshot
+(** An all-zero snapshot, for bookkeeping entries that never leave the
+    host (list sentinels, not-yet-emitted segments). *)
+
 val create : ?ewma_alpha:float -> ?delivery_transform:(float -> float) -> unit -> t
 (** [ewma_alpha] defaults to 0.125. [delivery_transform] is applied to
     every delivery-rate sample (bytes/second) before it reaches either

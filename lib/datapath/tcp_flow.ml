@@ -22,7 +22,8 @@ let default_config =
 (* Scoreboard entry: one transmitted, not yet cumulatively acknowledged
    segment. [copies] counts transmissions currently believed in the
    network; it drops to zero when the segment is SACKed (delivered) or
-   declared lost. *)
+   declared lost. [prev]/[next] link the segment into the flow's unSACKed
+   list while it is neither SACKed nor cumulatively acknowledged. *)
 type seg = {
   seq : int;
   len : int;
@@ -32,7 +33,41 @@ type seg = {
   mutable sacked : bool;
   mutable lost : bool;
   mutable copies : int;
+  mutable prev : seg;
+  mutable next : seg;
 }
+
+(* A list head: an empty circular list is a sentinel linked to itself. *)
+let sentinel () =
+  let rec s =
+    {
+      seq = -1;
+      len = 0;
+      sent_at = Time_ns.zero;
+      retransmitted = false;
+      snapshot = Rate_estimator.empty_snapshot;
+      sacked = false;
+      lost = false;
+      copies = 0;
+      prev = s;
+      next = s;
+    }
+  in
+  s
+
+let link_last head seg =
+  let last = head.prev in
+  seg.prev <- last;
+  seg.next <- head;
+  last.next <- seg;
+  head.prev <- seg
+
+(* Self-links keep an unlinked segment from pinning its old neighbours. *)
+let unlink seg =
+  seg.prev.next <- seg.next;
+  seg.next.prev <- seg.prev;
+  seg.prev <- seg;
+  seg.next <- seg
 
 type t = {
   sim : Sim.t;
@@ -49,6 +84,7 @@ type t = {
   mutable cwnd : int;
   segs : (int, seg) Hashtbl.t;  (* keyed by seq *)
   order : seg Queue.t;  (* seq order; front is the oldest outstanding *)
+  unsacked : seg;  (* sentinel of the seq-ordered unSACKed subset of [order] *)
   retx_queue : seg Queue.t;  (* lost segments awaiting retransmission *)
   mutable pipe : int;  (* bytes believed in the network *)
   mutable highest_sacked : int;  (* highest SACKed byte (exclusive) *)
@@ -72,6 +108,8 @@ type t = {
   mutable timeout_count : int;
   mutable recovery_count : int;
   mutable dup_acks : int;
+  mutable acks_received : int;
+  mutable retx_scan_steps : int;  (* segments examined by check_retransmit_timeouts *)
   (* listeners *)
   mutable cwnd_listener : (Time_ns.t -> int -> unit) option;
   mutable rtt_listener : (Time_ns.t -> Time_ns.t -> unit) option;
@@ -127,8 +165,9 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
     snd_una = 0;
     snd_nxt = 0;
     cwnd = config.initial_cwnd_segments * config.mss;
-    segs = Hashtbl.create 1024;
+    segs = Hashtbl.create 16;
     order = Queue.create ();
+    unsacked = sentinel ();
     retx_queue = Queue.create ();
     pipe = 0;
     highest_sacked = 0;
@@ -148,6 +187,8 @@ let create ~sim ~flow ~config ~cc ~transmit ?obs ?(obs_sample_interval = Time_ns
     timeout_count = 0;
     recovery_count = 0;
     dup_acks = 0;
+    acks_received = 0;
+    retx_scan_steps = 0;
     cwnd_listener = None;
     rtt_listener = None;
     obs_h = Option.map make_obs_handles obs;
@@ -251,14 +292,17 @@ and send_new_segment t ~len =
       len;
       sent_at = now t;
       retransmitted = false;
-      snapshot = Rate_estimator.on_send t.rate_est ~now:(now t) ~bytes:0;
+      snapshot = Rate_estimator.empty_snapshot;  (* [emit] takes the real one *)
       sacked = false;
       lost = false;
       copies = 0;
+      prev = t.unsacked;
+      next = t.unsacked;
     }
   in
   Hashtbl.replace t.segs seq seg;
   Queue.add seg t.order;
+  link_last t.unsacked seg;
   t.snd_nxt <- t.snd_nxt + len;
   emit t seg ~retransmit:false
 
@@ -383,6 +427,7 @@ let mark_sacked t (start, stop) =
       | None -> () (* already cumulatively acknowledged *)
       | Some seg ->
         if not seg.sacked then begin
+          unlink seg;
           t.pipe <- t.pipe - (seg.len * seg.copies);
           seg.copies <- 0;
           seg.sacked <- true;
@@ -464,36 +509,33 @@ let prr_update t ~delivered =
 (* RACK-style lost-retransmission detection: a retransmitted, still
    unSACKed segment whose (re)transmission is more than two smoothed RTTs
    old — while ACKs keep arriving — was lost again. Re-mark it so
-   try_send resends instead of stalling into an RTO. Scanning is bounded
-   to the leading window of unSACKed segments to keep per-ACK work O(1)
-   amortized. *)
+   try_send resends instead of stalling into an RTO. Each ACK examines at
+   most the first [max_retx_scan] entries of the unSACKed list, in seq
+   order; SACKed segments are never on it, so per-ACK work is at most
+   [max_retx_scan] steps however large the SACK scoreboard grows. *)
 let max_retx_scan = 64
+
+let rec remark_lost_retransmits t ~at ~deadline seg examined =
+  if seg != t.unsacked && examined < max_retx_scan then begin
+    t.retx_scan_steps <- t.retx_scan_steps + 1;
+    if
+      seg.retransmitted && seg.copies > 0
+      && Time_ns.compare (Time_ns.sub at seg.sent_at) deadline > 0
+    then begin
+      t.pipe <- t.pipe - (seg.len * seg.copies);
+      seg.copies <- 0;
+      seg.lost <- true;
+      Queue.add seg t.retx_queue
+    end;
+    remark_lost_retransmits t ~at ~deadline seg.next (examined + 1)
+  end
 
 let check_retransmit_timeouts t =
   match Rtt_estimator.srtt t.rtt_est with
   | None -> ()
   | Some srtt ->
-    let deadline = Time_ns.scale srtt 2.0 in
-    let at = now t in
-    let examined = ref 0 in
-    (try
-       Queue.iter
-         (fun seg ->
-           if !examined >= max_retx_scan then raise Exit;
-           if not seg.sacked then begin
-             incr examined;
-             if
-               seg.retransmitted && seg.copies > 0
-               && Time_ns.compare (Time_ns.sub at seg.sent_at) deadline > 0
-             then begin
-               t.pipe <- t.pipe - (seg.len * seg.copies);
-               seg.copies <- 0;
-               seg.lost <- true;
-               Queue.add seg t.retx_queue
-             end
-           end)
-         t.order
-     with Exit -> ())
+    remark_lost_retransmits t ~at:(now t) ~deadline:(Time_ns.scale srtt 2.0)
+      t.unsacked.next 0
 
 let pop_acked t cum_ack =
   let rec pop newest =
@@ -501,6 +543,7 @@ let pop_acked t cum_ack =
     | Some seg when seg.seq + seg.len <= cum_ack ->
       ignore (Queue.take t.order);
       Hashtbl.remove t.segs seg.seq;
+      if not seg.sacked then unlink seg;
       t.pipe <- t.pipe - (seg.len * seg.copies);
       seg.copies <- 0;
       (* Prefer an RTT/rate sample from a never-retransmitted segment. *)
@@ -554,6 +597,7 @@ let on_ack t (pkt : Packet.t) =
   match pkt.payload with
   | Data _ -> invalid_arg "Tcp_flow.on_ack: got a data packet"
   | Ack a ->
+    t.acks_received <- t.acks_received + 1;
     let at = now t in
     let c = ctl t in
     let true_rtt =
@@ -664,5 +708,31 @@ let segments_sent t = t.segments_sent
 let retransmits t = t.retransmit_count
 let timeouts t = t.timeout_count
 let recoveries t = t.recovery_count
+let acks_received t = t.acks_received
+let retx_scan_steps t = t.retx_scan_steps
+
+let scoreboard_violation t =
+  let rec listed seg acc =
+    if seg == t.unsacked then Ok (List.rev acc)
+    else if seg.next.prev != seg then Error (Printf.sprintf "broken back-link at seq %d" seg.seq)
+    else listed seg.next (seg :: acc)
+  in
+  let unsacked_of_order =
+    List.rev (Queue.fold (fun acc seg -> if seg.sacked then acc else seg :: acc) [] t.order)
+  in
+  let pipe_of_order = Queue.fold (fun acc seg -> acc + (seg.len * seg.copies)) 0 t.order in
+  let seqs segs = String.concat "," (List.map (fun seg -> string_of_int seg.seq) segs) in
+  match listed t.unsacked.next [] with
+  | Error e -> Some e
+  | Ok _ when t.unsacked.next.prev != t.unsacked -> Some "broken back-link at the head"
+  | Ok listed when not (List.equal ( == ) listed unsacked_of_order) ->
+    Some
+      (Printf.sprintf "unSACKed list [%s] <> unSACKed segments of order [%s]" (seqs listed)
+         (seqs unsacked_of_order))
+  | Ok _ when t.pipe <> pipe_of_order ->
+    Some (Printf.sprintf "pipe %d <> sum of len * copies %d" t.pipe pipe_of_order)
+  | Ok _ when t.snd_una > t.snd_nxt ->
+    Some (Printf.sprintf "snd_una %d > snd_nxt %d" t.snd_una t.snd_nxt)
+  | Ok _ -> None
 let set_cwnd_listener t f = t.cwnd_listener <- Some f
 let set_rtt_listener t f = t.rtt_listener <- Some f

@@ -82,6 +82,25 @@ val segments_sent : t -> int
 val retransmits : t -> int
 val timeouts : t -> int
 val recoveries : t -> int
+val acks_received : t -> int
+
+val max_retx_scan : int
+(** Most unSACKed segments the lost-retransmission check examines per
+    ACK. *)
+
+val retx_scan_steps : t -> int
+(** Segments examined by the lost-retransmission check so far: at most
+    [max_retx_scan] per ACK. *)
+
+(** {1 Invariants} *)
+
+val scoreboard_violation : t -> string option
+(** [None] when the sender's scoreboard is consistent: the unSACKed list
+    holds exactly the unSACKed segments awaiting cumulative ACK, in
+    sequence order; [inflight] equals the sum of length times copies in
+    the network over those segments; and [snd_una <= snd_nxt]. Otherwise
+    a description of the first violation. Walks the whole scoreboard: for
+    tests, not the ACK path. *)
 
 (** {1 Listeners} *)
 

@@ -5,7 +5,13 @@ type t = {
   send_ack : Packet.t -> unit;
   delayed_ack_every : int;
   mutable expected : int;  (* next in-order byte awaited *)
-  mutable ooo : (int * int) list;  (* disjoint sorted [start, stop) intervals above expected *)
+  (* Out-of-order data: disjoint, non-adjacent [starts.(i), stops.(i))
+     intervals sorted by start, live in indices [lo, hi). The arrays start
+     empty and double when an insert finds no room. *)
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable lo : int;
+  mutable hi : int;
   mutable unacked_segments : int;  (* in-order segments since the last ACK *)
   mutable acks_sent : int;
   mutable segments_received : int;
@@ -18,29 +24,100 @@ let create ~flow ~send_ack ?(delayed_ack_every = 1) () =
     send_ack;
     delayed_ack_every;
     expected = 0;
-    ooo = [];
+    starts = [||];
+    stops = [||];
+    lo = 0;
+    hi = 0;
     unacked_segments = 0;
     acks_sent = 0;
     segments_received = 0;
   }
 
-(* Insert [start, stop) into the sorted disjoint interval list, merging
-   overlapping and adjacent intervals. *)
-let rec insert_interval intervals (start, stop) =
-  match intervals with
-  | [] -> [ (start, stop) ]
-  | (s, e) :: rest ->
-    if stop < s then (start, stop) :: intervals
-    else if start > e then (s, e) :: insert_interval rest (start, stop)
-    else insert_interval rest (min s start, max e stop)
+(* Binary searches over sorted indices [lo, hi): the first index whose
+   interval ends at or above [x] / starts above [x], or [hi] if none
+   does. *)
+let rec first_stop_at_least t x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if t.stops.(mid) >= x then first_stop_at_least t x lo mid
+    else first_stop_at_least t x (mid + 1) hi
 
-(* Advance [expected] through any interval that now touches it. *)
+let rec first_start_above t x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if t.starts.(mid) > x then first_start_above t x lo mid
+    else first_start_above t x (mid + 1) hi
+
+(* Make room for one more interval at the high end: compact the live
+   range to index 0, into doubled arrays if it fills half or more. *)
+let reserve t =
+  let cap = Array.length t.starts in
+  if t.hi = cap then begin
+    let n = t.hi - t.lo in
+    let starts, stops =
+      if 2 * n >= cap then
+        let cap = max 8 (2 * cap) in
+        (Array.make cap 0, Array.make cap 0)
+      else (t.starts, t.stops)
+    in
+    Array.blit t.starts t.lo starts 0 n;
+    Array.blit t.stops t.lo stops 0 n;
+    t.starts <- starts;
+    t.stops <- stops;
+    t.lo <- 0;
+    t.hi <- n
+  end
+
+(* Insert [start, stop), merging every overlapping or adjacent interval
+   into it. New data usually lands above everything buffered: append, or
+   extend the last interval. Otherwise binary-search the merge range
+   [i, k) and close the gap it leaves with one in-place blit. *)
+let insert_interval t start stop =
+  let last = t.hi - 1 in
+  if t.hi = t.lo || start > t.stops.(last) then begin
+    reserve t;
+    t.starts.(t.hi) <- start;
+    t.stops.(t.hi) <- stop;
+    t.hi <- t.hi + 1
+  end
+  else if start >= t.starts.(last) then begin
+    if stop > t.stops.(last) then t.stops.(last) <- stop
+  end
+  else begin
+    let i = first_stop_at_least t start t.lo t.hi in
+    let k = first_start_above t stop i t.hi in
+    if i = k then begin
+      let offset = i - t.lo in
+      reserve t;
+      (* [reserve] may have moved the live range down to index 0. *)
+      let i = t.lo + offset in
+      Array.blit t.starts i t.starts (i + 1) (t.hi - i);
+      Array.blit t.stops i t.stops (i + 1) (t.hi - i);
+      t.starts.(i) <- start;
+      t.stops.(i) <- stop;
+      t.hi <- t.hi + 1
+    end
+    else begin
+      t.starts.(i) <- min start t.starts.(i);
+      t.stops.(i) <- max stop t.stops.(k - 1);
+      Array.blit t.starts k t.starts (i + 1) (t.hi - k);
+      Array.blit t.stops k t.stops (i + 1) (t.hi - k);
+      t.hi <- t.hi - (k - i - 1)
+    end
+  end
+
+(* Advance [expected] through the lowest interval if it now touches it. *)
 let advance t =
-  match t.ooo with
-  | (s, e) :: rest when s <= t.expected ->
-    if e > t.expected then t.expected <- e;
-    t.ooo <- rest
-  | _ -> ()
+  if t.hi > t.lo && t.starts.(t.lo) <= t.expected then begin
+    if t.stops.(t.lo) > t.expected then t.expected <- t.stops.(t.lo);
+    t.lo <- t.lo + 1;
+    if t.lo = t.hi then begin
+      t.lo <- 0;
+      t.hi <- 0
+    end
+  end
 
 let emit_ack t ~(trigger : Packet.data) ~ecn_echo ~acked_segments ~newly_sacked =
   t.acks_sent <- t.acks_sent + 1;
@@ -64,7 +141,7 @@ let ingest t (pkt : Packet.t) =
       `In_order
     end
     else begin
-      t.ooo <- insert_interval t.ooo (d.seq, stop);
+      insert_interval t d.seq stop;
       `Sacked (d.seq, stop)
     end
 
@@ -110,6 +187,12 @@ let on_batch t pkts =
 
 let expected_seq t = t.expected
 let delivered_bytes t = t.expected
-let out_of_order_bytes t = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 t.ooo
+let out_of_order_bytes t =
+  let bytes = ref 0 in
+  for i = t.lo to t.hi - 1 do
+    bytes := !bytes + (t.stops.(i) - t.starts.(i))
+  done;
+  !bytes
+
 let acks_sent t = t.acks_sent
 let segments_received t = t.segments_received

@@ -32,9 +32,12 @@ type event =
   | Alert of { slo : string; state : string; burn_short : float; burn_long : float }
   | Custom of { name : string; value : float }
 
+(* The arrays start at [min cap 1024] slots and double on write until
+   they reach [cap]; that only happens before the first wrap, while the
+   ring is still the prefix [0, next), so growing copies in order. *)
 type t = {
-  times : int array;
-  events : event array;
+  mutable times : int array;
+  mutable events : event array;
   cap : int;
   mutable next : int; (* ring write cursor *)
   mutable recorded : int; (* total ever recorded *)
@@ -44,9 +47,10 @@ let placeholder = Queue_sample { bytes = 0 }
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be > 0";
+  let initial = min capacity 1024 in
   {
-    times = Array.make capacity 0;
-    events = Array.make capacity placeholder;
+    times = Array.make initial 0;
+    events = Array.make initial placeholder;
     cap = capacity;
     next = 0;
     recorded = 0;
@@ -54,7 +58,16 @@ let create ?(capacity = 65536) () =
 
 let capacity t = t.cap
 
+let grow t =
+  let size = min t.cap (2 * Array.length t.times) in
+  let times = Array.make size 0 and events = Array.make size placeholder in
+  Array.blit t.times 0 times 0 t.next;
+  Array.blit t.events 0 events 0 t.next;
+  t.times <- times;
+  t.events <- events
+
 let record t ~at event =
+  if t.next = Array.length t.times then grow t;
   t.times.(t.next) <- at;
   t.events.(t.next) <- event;
   t.next <- (t.next + 1) mod t.cap;

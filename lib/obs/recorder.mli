@@ -51,7 +51,8 @@ type event =
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity 65536 events. *)
+(** Default capacity 65536 events. Storage starts at [min capacity 1024]
+    slots and doubles as events arrive, so an idle recorder stays small. *)
 
 val capacity : t -> int
 
